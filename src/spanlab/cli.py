@@ -24,7 +24,6 @@ from .bounds import (
 from .errors import SpanlabError
 from .jets import (
     JetSystem,
-    adapted_basis,
     degree_genus_estimate,
     filtration_profile,
     is_m_maximal,
@@ -49,6 +48,17 @@ def _parse_ints(text: str) -> list[int]:
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
     return tuple(_parse_ints(text))
+
+
+def _int_list(text: str) -> str:
+    # argparse type for comma-separated integers: a bad token is a usage
+    # error (exit 2); the raw text is kept so the envelope echoes it.
+    try:
+        _parse_ints(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    return text
 
 
 def _load_sections(path: str) -> JetSystem:
@@ -205,7 +215,7 @@ def _cmd_game_trace(args):
 
 def _cmd_jets_rank(args):
     system = _load_sections(args.sections_file)
-    seq, _ = adapted_basis(system)
+    seq = system.adapted_orders
     dim = sym_power_dim(system, args.m)
     result = {"m": args.m, "adapted": list(seq.entries), "dim": dim}
     lines = [f"adapted orders: {seq.to_text()}", f"degree-{args.m} product rank: {dim}"]
@@ -214,7 +224,7 @@ def _cmd_jets_rank(args):
 
 def _cmd_jets_maximal(args):
     system = _load_sections(args.sections_file)
-    seq, _ = adapted_basis(system)
+    seq = system.adapted_orders
     dim = sym_power_dim(system, args.m)
     target = classify(seq, args.m).span
     result = {
@@ -312,24 +322,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the JSON envelope")
 
     p = sub.add_parser("span", help="m-fold sumset size and classification")
-    p.add_argument("--seq", required=True, help="comma-separated entries, e.g. 0,1,2,4")
+    p.add_argument("--seq", type=_int_list, required=True, help="comma-separated entries, e.g. 0,1,2,4")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--classify", action="store_true", help="show the difference-shape verdict")
     add_json(p)
     p.set_defaults(handler=_cmd_span)
 
     p = sub.add_parser("semigroup", help="gaps of a numerical semigroup")
-    p.add_argument("--gens", required=True, help="comma-separated generators, e.g. 3,5")
+    p.add_argument("--gens", type=_int_list, required=True, help="comma-separated generators, e.g. 3,5")
     add_json(p)
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("curve", help="degree and genus of the monomial curve")
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", type=_int_list, required=True)
     add_json(p)
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("hilbert", help="eventual span line and stabilization threshold")
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", type=_int_list, required=True)
     p.add_argument("--mcap", type=int, default=None)
     add_json(p)
     p.set_defaults(handler=_cmd_hilbert)
@@ -337,12 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal", help="weighted relation ideal data")
     ideal_sub = p.add_subparsers(dest="subcommand", required=True)
     q = ideal_sub.add_parser("dims", help="per-weight dimension tally at one degree")
-    q.add_argument("--seq", required=True)
+    q.add_argument("--seq", type=_int_list, required=True)
     q.add_argument("--m", type=int, required=True)
     add_json(q)
     q.set_defaults(handler=_cmd_ideal_dims)
     q = ideal_sub.add_parser("gendeg", help="smallest generating degree observed up to a cap")
-    q.add_argument("--seq", required=True)
+    q.add_argument("--seq", type=_int_list, required=True)
     q.add_argument("--mcap", type=int, default=8)
     q.add_argument("--t", type=int, default=2, help="starting neighbor order")
     add_json(q)
@@ -351,9 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="the piece-moving game")
     game_sub = p.add_subparsers(dest="subcommand", required=True)
     q = game_sub.add_parser("trace", help="shortest move sequence between two positions")
-    q.add_argument("--seq", required=True)
-    q.add_argument("--from", dest="source", required=True, help="exponent tuple, e.g. 2,0,1")
-    q.add_argument("--to", dest="target", required=True)
+    q.add_argument("--seq", type=_int_list, required=True)
+    q.add_argument("--from", dest="source", type=_int_list, required=True, help="exponent tuple, e.g. 2,0,1")
+    q.add_argument("--to", dest="target", type=_int_list, required=True)
     add_json(q)
     q.set_defaults(handler=_cmd_game_trace)
 
@@ -384,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--g", type=int, required=True)
-    q.add_argument("--weights", default=None, help="comma-separated point weights")
+    q.add_argument("--weights", type=_int_list, default=None, help="comma-separated point weights")
     add_json(q)
     q.set_defaults(handler=_cmd_bounds_pluecker)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -28,7 +29,7 @@ from .errors import (
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .monomial_ideal import equivalence_report, monomials_of_degree, weight
+from .monomial_ideal import equivalence_report, weight
 from .sequences import VanishingSequence
 from .span import span
 
@@ -90,14 +91,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        n = self.truncation
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        product = _mul(self.coefficients, other.coefficients, self.truncation)
+        return TruncatedSeries(tuple(Fraction(c) for c in product))
 
     def scale(self, c) -> "TruncatedSeries":
         c = _as_fraction(c)
@@ -115,15 +110,15 @@ def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs[: last + 1])
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction], cap: Optional[int] = None):
-    n = len(a) + len(b) - 1 if a and b else 0
-    if cap is not None:
-        n = min(n, cap)
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
+def _mul(a: Sequence, b: Sequence, cap: Optional[int] = None) -> list:
+    """Product of two int or Fraction coefficient lists; with ``cap``, its
+    first ``cap`` coefficients (zero-padded to exactly ``cap`` entries)."""
+    n = (len(a) + len(b) - 1 if a and b else 0) if cap is None else cap
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b):
-                if y and i + j < n:
+            for j, y in enumerate(b[:n - i]):
+                if y:
                     out[i + j] += x * y
     return out
 
@@ -135,6 +130,9 @@ class JetSystem:
     ``truncation = None`` means the sections are exact polynomials; an integer
     N means coefficients from t^N on are unknown and any computation needing
     them raises ``TruncationTooSmall``.
+
+    Being immutable, the system computes on first use and caches what every
+    rank below derives from it: ``adapted_orders`` and ``integer_sections``.
     """
 
     sections: tuple[tuple[Fraction, ...], ...]
@@ -157,11 +155,47 @@ class JetSystem:
     def poly_degree(self) -> int:
         return max(len(sec) - 1 for sec in self.sections)
 
-    def series(self, truncation: int) -> list[TruncatedSeries]:
-        if self.truncation is not None and truncation > self.truncation:
-            raise TruncationTooSmall(
-                f"system stores coefficients to t^{self.truncation}, need t^{truncation}")
-        return [TruncatedSeries.from_coefficients(sec, truncation) for sec in self.sections]
+    @property
+    def _known_coeffs(self) -> int:
+        # Coefficients known per section: all of a polynomial, or those below t^N.
+        return self.truncation if self.truncation is not None else self.poly_degree + 1
+
+    @cached_property
+    def _triangular(self) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
+        """(order, row) pairs of the sections triangularized by leading order,
+        orders strictly increasing.  Raises ``DegenerateWithinTruncation``
+        when a section reduces to zero."""
+        n_coeffs = self._known_coeffs
+        pending = [list(sec) + [Fraction(0)] * (n_coeffs - len(sec)) for sec in self.sections]
+        finished = []
+        while pending:
+            orders = [next((i for i, c in enumerate(row) if c), None) for row in pending]
+            if None in orders:
+                raise DegenerateWithinTruncation(
+                    f"sections dependent up to order >= {n_coeffs}; raise the truncation")
+            best = min(range(len(pending)),
+                       key=lambda i: (orders[i], sum(1 for c in pending[i] if c)))
+            pivot_order = orders[best]
+            pivot = pending.pop(best)
+            finished.append((pivot_order, tuple(pivot)))
+            lead = pivot[pivot_order]
+            for row in pending:
+                if row[pivot_order]:
+                    f = row[pivot_order] / lead
+                    for k in range(pivot_order, n_coeffs):
+                        row[k] -= f * pivot[k]
+        return tuple(finished)
+
+    @cached_property
+    def adapted_orders(self) -> VanishingSequence:
+        """The strictly increasing vanishing orders a_0 < ... < a_n of the span."""
+        return VanishingSequence(tuple(order for order, _ in self._triangular))
+
+    @cached_property
+    def integer_sections(self) -> tuple[tuple[int, ...], ...]:
+        """Each section scaled to integers: that rescales each product row,
+        which changes no rank, kernel or weight-filtration dimension."""
+        return tuple(tuple(_linalg.clear_denominators(sec)) for sec in self.sections)
 
 
 def monomial_system(seq: VanishingSequence) -> JetSystem:
@@ -203,7 +237,7 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
     top = seq[-1]
     acc = [Fraction(1)]
     for k in range(1, top + 1):
-        acc = _poly_mul(acc, u)
+        acc = _mul(acc, u)
         powers[k] = acc
     sections = [list(powers[a]) for a in seq]
     for j in range(len(sections)):
@@ -221,50 +255,18 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
 def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence, list[TruncatedSeries]]:
     """Triangularize the sections by leading order.
 
-    Returns the strictly increasing vanishing orders and a basis whose i-th
-    member is t^{a_i} + higher order terms.  Raises
+    Returns the cached ``system.adapted_orders`` and a basis whose i-th member
+    is t^{a_i} + higher order terms, built on each call.  Raises
     ``DegenerateWithinTruncation`` when two sections collide to order >= N - guard:
     either the sections are dependent or more coefficients are needed.
     """
-    n_coeffs = system.truncation if system.truncation is not None else system.poly_degree + 1
-    rows = [list(s.coefficients) for s in system.series(n_coeffs)]
-
-    def order_of(row):
-        for i, c in enumerate(row):
-            if c:
-                return i
-        return None
-
-    finished: list[tuple[int, list[Fraction]]] = []
-    pending = rows
-    while pending:
-        orders = [order_of(r) for r in pending]
-        for o in orders:
-            if o is None or o >= n_coeffs - guard:
-                raise DegenerateWithinTruncation(
-                    f"sections dependent up to order >= {n_coeffs - guard}; raise the truncation")
-        best = min(range(len(pending)),
-                   key=lambda i: (orders[i], sum(1 for c in pending[i] if c)))
-        pivot_order = orders[best]
-        pivot = pending.pop(best)
-        finished.append((pivot_order, pivot))
-        lead = pivot[pivot_order]
-        for row in pending:
-            if row[pivot_order]:
-                f = row[pivot_order] / lead
-                for k in range(pivot_order, n_coeffs):
-                    row[k] -= f * pivot[k]
-    finished.sort(key=lambda pair: pair[0])
-    orders = [o for o, _ in finished]
-    basis = [TruncatedSeries(tuple(c / row[o] for c in row)) for o, row in finished]
-    return VanishingSequence(tuple(orders)), basis
-
-
-def _integer_sections(system: JetSystem) -> list[list[int]]:
-    # Per-section denominator clearing: rescaling any section by a nonzero
-    # constant rescales each product row, which changes no rank, kernel
-    # dimension, or weight-filtration dimension below.
-    return [_linalg.clear_denominators(sec) for sec in system.sections]
+    orders = system.adapted_orders
+    limit = system._known_coeffs - guard
+    if orders[-1] >= limit:
+        raise DegenerateWithinTruncation(
+            f"sections dependent up to order >= {limit}; raise the truncation")
+    basis = [TruncatedSeries(tuple(c / row[o] for c in row)) for o, row in system._triangular]
+    return orders, basis
 
 
 def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -276,25 +278,16 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     if system.truncation is not None and n_coeffs > system.truncation:
         raise TruncationTooSmall(
             f"system stores coefficients to t^{system.truncation}, need t^{n_coeffs}")
-    secs = [sec[:n_coeffs] for sec in _integer_sections(system)]
+    secs = [sec[:n_coeffs] for sec in system.integer_sections]
     nvars = len(secs)
     monomials: list[tuple[int, ...]] = []
     rows: list[list[int]] = []
-
-    def mul_int(a, b):
-        out = [0] * n_coeffs
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y and i + j < n_coeffs:
-                        out[i + j] += x * y
-        return out
 
     def rec(var: int, remaining: int, prefix: tuple[int, ...], prod: list[int]):
         if var == nvars - 1:
             final = prod
             for _ in range(remaining):
-                final = mul_int(final, secs[var])
+                final = _mul(final, secs[var], n_coeffs)
             monomials.append(prefix + (remaining,))
             rows.append(final)
             return
@@ -302,7 +295,7 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
         for k in range(remaining + 1):
             rec(var + 1, remaining - k, prefix + (k,), current)
             if k < remaining:
-                current = mul_int(current, secs[var])
+                current = _mul(current, secs[var], n_coeffs)
 
     one = [0] * n_coeffs
     one[0] = 1
@@ -334,9 +327,8 @@ def sym_power_dim(system: JetSystem, m: int) -> int:
         raise ValueError(f"degree must be >= 0, got {m}")
     if m == 0:
         return 1
-    seq, _ = adapted_basis(system)
     ranks = []
-    for n_coeffs in _working_truncations(system, m, seq[-1]):
+    for n_coeffs in _working_truncations(system, m, system.adapted_orders[-1]):
         _, rows = _product_rows(system, m, n_coeffs)
         ranks.append(_linalg.rank(rows))
     if len(set(ranks)) != 1:
@@ -348,8 +340,7 @@ def sym_power_dim(system: JetSystem, m: int) -> int:
 def is_m_maximal(system: JetSystem, m: int) -> bool:
     """Whether the degree-m product span is as small as the weight count,
     i.e. the system attains the monomial model's dimension."""
-    seq, _ = adapted_basis(system)
-    return sym_power_dim(system, m) == span(seq, m)
+    return sym_power_dim(system, m) == span(system.adapted_orders, m)
 
 
 @dataclass(frozen=True)
@@ -368,7 +359,7 @@ class FiltrationProfile:
 
 def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
     """Per-weight dimensions of the kernel of the degree-m product map."""
-    seq, _ = adapted_basis(system)
+    seq = system.adapted_orders
     profiles = []
     for n_coeffs in _working_truncations(system, m, seq[-1]):
         monomials, rows = _product_rows(system, m, n_coeffs)
@@ -419,40 +410,40 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
     """
     if not (t_max >= m >= 2):
         raise ValueError(f"need t_max >= m >= 2, got m={m}, t_max={t_max}")
-    seq, _ = adapted_basis(system)
-    if not is_m_maximal(system, m):
+    seq = system.adapted_orders
+    quotient_dims = {m: sym_power_dim(system, m)}
+    if quotient_dims[m] != span(seq, m):
         raise HypothesisFailed(f"system is not {m}-maximal")
     for d in range(m + 1, t_max + 1):
         if not equivalence_report(seq, d, m).generated:
             raise HypothesisFailed(
                 f"degree-{d} relations of {seq.entries} are not generated in degree {m}")
 
-    nvars = len(seq)
-    quotient_dims: dict[int, int] = {}
-    kernel_dims: dict[int, int] = {}
-    for t in range(m, t_max + 1):
+    for t in range(m + 1, t_max + 1):
         dim = sym_power_dim(system, t)
-        quotient_dims[t] = dim
-        kernel_dims[t] = comb(t + seq.n, seq.n) - dim
         if dim != span(seq, t):
             raise PropagationFailed(f"system failed to be {t}-maximal (dim {dim})")
+        quotient_dims[t] = dim
+    kernel_dims = {t: comb(t + seq.n, seq.n) - dim for t, dim in quotient_dims.items()}
 
+    nvars = len(seq)
     one_step: dict[int, bool] = {}
     for t in range(m, t_max):
         n_coeffs = _working_truncations(system, t, seq[-1])[-1]
-        _, rows = _product_rows(system, t, n_coeffs)
-        kernel = _linalg.left_kernel_basis(rows, n_coeffs)
-        index = {xi: i for i, xi in enumerate(monomials_of_degree(t + 1, nvars))}
+        monomials, rows = _product_rows(system, t, n_coeffs)
+        # lift[pos][var] is the column of monomials[pos] * x_var among the
+        # degree-(t+1) monomials, numbered in order of first appearance.
+        columns: dict[tuple[int, ...], int] = {}
+        lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
+                 for var in range(nvars)] for xi in monomials]
         shifted: list[list[int]] = []
-        for vec in kernel:
+        for vec in _linalg.left_kernel_basis(rows, n_coeffs):
+            entries = [(pos, c) for pos, c in enumerate(_linalg.clear_denominators(vec)) if c]
             for var in range(nvars):
-                out = [Fraction(0)] * len(index)
-                for pos, xi in enumerate(monomials_of_degree(t, nvars)):
-                    if vec[pos]:
-                        lifted = list(xi)
-                        lifted[var] += 1
-                        out[index[tuple(lifted)]] = vec[pos]
-                shifted.append(_linalg.clear_denominators(out))
+                row = [0] * len(columns)
+                for pos, c in entries:
+                    row[lift[pos][var]] = c
+                shifted.append(row)
         # The shifted relations always sit inside the degree-(t+1) kernel, so
         # their rank is at most kernel_dims[t+1]; equality is what must hold.
         ok = _linalg.rank_at_least(shifted, kernel_dims[t + 1])

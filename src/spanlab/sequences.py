@@ -64,12 +64,11 @@ def validate(raw: Iterable[int]) -> VanishingSequence:
 
 
 def from_text(text: str) -> VanishingSequence:
-    """Parse the CLI text form ``"a0,a1,...,an"``."""
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise NotStrictlyIncreasing(f"cannot parse sequence {text!r}") from exc
-    return validate(parts)
+    """Parse the CLI text form ``"a0,a1,...,an"``.
+
+    Raises ``ValueError`` when a token is not an integer.
+    """
+    return validate(int(p) for p in text.split(","))
 
 
 def translate(seq: VanishingSequence, c: int) -> VanishingSequence:

@@ -10,10 +10,8 @@ the harness itself can be shown to catch failures.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
@@ -39,7 +37,7 @@ from .monomial_ideal import (
     monomials_of_degree,
     t_neighbors,
 )
-from .semigroup import curve_invariants, hilbert_polynomial
+from .semigroup import curve_invariants, hilbert_polynomial, stabilization_threshold
 from .sequences import VanishingSequence, inflection_weight, reverse, scale, translate
 from .span import Verdict, classify, span, span_sequence
 
@@ -230,12 +228,7 @@ def _suite_hilbert_stabilization(cfg: SweepConfig) -> tuple[int, list[dict]]:
         const += bias
         m_cap = cfg.m_cap or 4 * lead
         spans = span_sequence(seq, m_cap)
-        threshold = None
-        for m in range(m_cap, 0, -1):
-            if spans[m - 1] == lead * m + const:
-                threshold = m
-            else:
-                break
+        threshold = stabilization_threshold(seq, m_cap)
         inputs = {"seq": list(seq.entries), "m_cap": m_cap}
         _check_true(failures, {**inputs, "check": "threshold_exists"}, threshold is not None)
         if threshold is not None:
@@ -483,15 +476,10 @@ def run_suite(suite_id: str, cfg: Optional[SweepConfig] = None) -> SuiteReport:
 
 
 def run_all(cfg: Optional[SweepConfig] = None) -> list[SuiteReport]:
-    """Run every suite; SPANLAB_THREADS > 1 runs suites concurrently."""
+    """Run every suite in ``SUITE_IDS`` order."""
     cfg = cfg or SweepConfig()
     inner = SweepConfig(**{**cfg.__dict__, "report_path": None})
-    threads = max(1, int(os.environ.get("SPANLAB_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda sid: run_suite(sid, inner), SUITE_IDS))
-    else:
-        reports = [run_suite(sid, inner) for sid in SUITE_IDS]
+    reports = [run_suite(sid, inner) for sid in SUITE_IDS]
     if cfg.report_path:
         with open(cfg.report_path, "w", encoding="utf-8") as fh:
             json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)

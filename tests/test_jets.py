@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spanlab import (
     DegenerateWithinTruncation,
@@ -27,6 +28,7 @@ from spanlab import (
     sym_power_dim,
     validate,
 )
+from spanlab.jets import _mul
 
 
 class TestTruncatedSeries:
@@ -57,6 +59,35 @@ class TestTruncatedSeries:
         assert TruncatedSeries.from_coefficients([], 3).order() is None
 
 
+def _naive_mul(a, b, cap):
+    n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * (n if cap is None else cap)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if i + j < len(out):
+                out[i + j] += a[i] * b[j]
+    return out
+
+
+_ints = st.lists(st.integers(-20, 20), max_size=8)
+_fractions = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=8)
+_caps = st.none() | st.integers(0, 12)
+
+
+class TestMul:
+    @given(_ints, _ints, _caps)
+    def test_matches_double_loop_on_ints(self, a, b, cap):
+        assert _mul(a, b, cap) == _naive_mul(a, b, cap)
+
+    @given(_fractions, _fractions, _caps)
+    def test_matches_double_loop_on_fractions(self, a, b, cap):
+        assert _mul(a, b, cap) == _naive_mul(a, b, cap)
+
+    def test_series_product_keeps_fractions(self):
+        product = TruncatedSeries.t_power(1, 4) * TruncatedSeries.t_power(1, 4)
+        assert all(type(c) is F for c in product.coefficients)
+
+
 class TestAdaptedBasis:
     def test_monomial_sections(self):
         seq, basis = adapted_basis(monomial_system(validate([0, 1, 2])))
@@ -74,8 +105,18 @@ class TestAdaptedBasis:
             assert b.coefficients[a] == 1
 
     def test_dependent_sections(self):
-        with pytest.raises(DegenerateWithinTruncation):
-            adapted_basis(JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3)))))
+        # Raises on every call: a failed triangularization is not cached.
+        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))))
+        for _ in range(2):
+            with pytest.raises(DegenerateWithinTruncation):
+                adapted_basis(system)
+            with pytest.raises(DegenerateWithinTruncation):
+                sym_power_dim(system, 2)
+
+    def test_orders_match_basis(self):
+        for k in range(3):
+            system = perturbed_system(validate([0, 2, 3, 7]), tail=3, seed=k)
+            assert system.adapted_orders == adapted_basis(system)[0]
 
     def test_unsorted_orders(self):
         system = JetSystem(((F(0), F(0), F(1)), (F(1),), (F(0), F(2))))
@@ -143,6 +184,7 @@ class TestTruncatedMode:
         system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(1), F(0), F(1))), truncation=4)
         seq, _ = adapted_basis(system)
         assert seq.entries == (0, 1, 3)
+        # The guarded call reuses the orders the first call cached.
         with pytest.raises(DegenerateWithinTruncation):
             adapted_basis(system, guard=1)
 

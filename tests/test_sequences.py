@@ -116,6 +116,12 @@ class TestInflectionWeight:
         assert (inflection_weight(seq) == 0) == (seq.entries == expected)
 
 
+def test_non_integer_text():
+    # Text that is not integers is a parse error, not a sequence-shape error.
+    with pytest.raises(ValueError):
+        from_text("a,b")
+
+
 def test_text_round_trip():
     seq = from_text("0,1,2,4")
     assert seq.entries == (0, 1, 2, 4)

@@ -45,8 +45,7 @@ class TestSuites:
         on_disk = json.loads(path.read_text())
         assert on_disk == report.to_dict()
 
-    def test_run_all_aggregates(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SPANLAB_THREADS", "2")
+    def test_run_all_aggregates(self, tmp_path):
         path = tmp_path / "all.json"
         cfg = SweepConfig(max_entry=4, random_trials=20, report_path=str(path))
         reports = run_all(cfg)
@@ -156,6 +155,28 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("span", "--seq", "a,b", "--m", "2"),
+        ("span", "--seq", "0,1,x", "--m", "2", "--json"),
+        ("semigroup", "--gens", "3,x"),
+        ("semigroup", "--gens", "", "--json"),
+        ("game", "trace", "--seq", "0,1,2", "--from", "1,0,y", "--to", "0,2,0"),
+        ("game", "trace", "--seq", "0,1,2", "--from", "1,0,1", "--to", "0,2.0"),
+        ("bounds", "pluecker", "--n", "3", "--d", "4", "--g", "1", "--weights", "1,one"),
+    ])
+    def test_non_integer_text_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+    def test_inputs_echo_raw_text(self, capsys):
+        code, out = run_cli(capsys, "semigroup", "--gens", "5, 3", "--json")
+        envelope = json.loads(out)
+        assert code == 0
+        assert envelope["inputs"]["gens"] == "5, 3"
+        assert envelope["result"]["generators"] == [3, 5]
 
     def test_precondition_violations_are_domain_errors(self, capsys):
         assert run_cli(capsys, "span", "--seq", "0,1,3", "--m", "0")[0] == 1
