@@ -19,6 +19,7 @@ from .errors import (
     NotStrictlyIncreasing,
     PreconditionViolated,
     PropagationFailed,
+    SemigroupTooLarge,
     SpanlabError,
     TooShort,
     TruncationMismatch,
@@ -56,6 +57,7 @@ from .semigroup import (
 from .monomial_ideal import (
     BigradedDims,
     EquivalenceReport,
+    GenerationScan,
     Monomial,
     Move,
     NonEquivalent,
@@ -66,6 +68,7 @@ from .monomial_ideal import (
     equivalence_report,
     exchange_degree,
     generation_degree,
+    generation_scan,
     interlaced,
     monomials_of_degree,
     move_trace,

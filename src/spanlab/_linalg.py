@@ -25,7 +25,8 @@ def clear_denominators(row: Sequence) -> list[int]:
         if isinstance(x, Fraction):
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-    return [int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm for x in row]
+    return [x.numerator * (lcm // x.denominator) if isinstance(x, Fraction) else int(x) * lcm
+            for x in row]
 
 
 def _reduce_row(row: dict[int, int]) -> dict[int, int]:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -32,8 +33,7 @@ from .jets import (
 from .monomial_ideal import (
     NonEquivalent,
     bigraded_dims,
-    equivalence_report,
-    generation_degree,
+    generation_scan,
     move_trace,
 )
 from .semigroup import curve_invariants, hilbert_polynomial, semigroup_of, stabilization_threshold
@@ -163,11 +163,9 @@ def _cmd_ideal_dims(args):
 
 def _cmd_ideal_gendeg(args):
     seq = from_text(args.seq)
-    g = generation_degree(seq, args.mcap, args.t)
-    per_degree = {
-        str(m): equivalence_report(seq, m, 2).generated
-        for m in range(3, args.mcap + 1)
-    }
+    scan = generation_scan(seq, args.mcap, args.t)
+    g = scan.degree
+    per_degree = {str(m): t == 2 for m, t in scan.orders.items()}
     result = {
         "seq": list(seq.entries),
         "m_cap": args.mcap,
@@ -311,7 +309,10 @@ def _cmd_verify(args):
     return {"suite": args.suite, "seed": args.seed}, result, lines, failed
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: it depends on no argument, and parse_args
+    # leaves it unchanged.
     parser = argparse.ArgumentParser(
         prog="spanlab",
         description="Exact invariants of vanishing sequences and their monomial curves.")

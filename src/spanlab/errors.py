@@ -29,6 +29,11 @@ class GcdNotOne(SpanlabError):
     """Generators with gcd > 1 leave infinitely many gaps."""
 
 
+class SemigroupTooLarge(SpanlabError):
+    """The semigroup's smallest generator or its gap count exceeds the fixed
+    limit that keeps memory bounded."""
+
+
 class LengthMismatch(SpanlabError):
     """Exponent vector length must equal the sequence length."""
 

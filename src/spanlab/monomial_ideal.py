@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import sub
 from typing import Iterator, Optional, Union
 
 from .errors import LengthMismatch, PreconditionViolated
@@ -123,24 +124,6 @@ def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
             if eta != xi and exchange_degree(xi, eta) <= t]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of partitioning degree-m monomials by t-step connectivity.
@@ -160,22 +143,33 @@ class EquivalenceReport:
 
 def _partition(seq: VanishingSequence, m: int, t: int):
     # Weight classes in ascending weight; inside each class, components of
-    # the t-step graph via union-find over lexicographically sorted members.
+    # the t-step graph grown breadth-first from the lexicographically first
+    # member not yet reached, each popped member tested only against the
+    # members still unreached.
     classes: dict[int, list[Monomial]] = {}
     for xi in monomials_of_degree(m, len(seq)):
         classes.setdefault(weight(xi, seq), []).append(xi)
+    reach = 2 * t
     partition = []
     for w in sorted(classes):
-        members = classes[w]
-        uf = _UnionFind(len(members))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if exchange_degree(members[i], members[j]) <= t:
-                    uf.union(i, j)
-        groups: dict[int, list[Monomial]] = {}
-        for i, xi in enumerate(members):
-            groups.setdefault(uf.find(i), []).append(xi)
-        components = sorted(groups.values(), key=lambda g: g[0])
+        unreached = classes[w]
+        components = []
+        while unreached:
+            component = [unreached[0]]
+            unreached = unreached[1:]
+            for xi in component:
+                if not unreached:
+                    break
+                rest = []
+                for eta in unreached:
+                    # exchange_degree(xi, eta) <= t: for equal degrees the
+                    # exchange degree is half the L1 distance.
+                    if sum(map(abs, map(sub, xi, eta))) <= reach:
+                        component.append(eta)
+                    else:
+                        rest.append(eta)
+                unreached = rest
+            components.append(sorted(component))
         partition.append((w, components))
     return partition
 
@@ -202,18 +196,51 @@ def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceRep
     )
 
 
+@dataclass(frozen=True)
+class GenerationScan:
+    """Smallest connecting move degree of every degree up to a cap.
+
+    ``orders[m]`` is the smallest t >= 2 whose moves connect every degree-m
+    weight class, for m in [3; m_cap]; t = m always does.  Connectivity only
+    grows with t, so degree m is generated by degree-g steps iff
+    ``orders[m] <= g``.
+    """
+
+    m_cap: int
+    t_start: int
+    orders: dict[int, int]
+
+    @property
+    def degree(self) -> Optional[int]:
+        """Smallest g >= t_start with every degree in (g; m_cap] generated by
+        degree-g steps."""
+        for g in range(self.t_start, self.m_cap + 1):
+            if all(self.orders[m] <= g for m in range(g + 1, self.m_cap + 1)):
+                return g
+        return None
+
+
+def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
+    """Smallest connecting move degree of each degree in [3; m_cap], with
+    one partition per tried t < m (t = m needs none)."""
+    if not (m_cap >= t_start >= 2):
+        raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
+    orders = {}
+    for m in range(3, m_cap + 1):
+        t = 2
+        while t < m and not equivalence_report(seq, m, t).generated:
+            t += 1
+        orders[m] = t
+    return GenerationScan(m_cap, t_start, orders)
+
+
 def generation_degree(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> Optional[int]:
     """Smallest g with every degree in (g; m_cap] generated by degree-g steps.
 
     Returns None when even g = m_cap fails, i.e. generation was not observed
     up to the cap; degrees beyond m_cap are never extrapolated.
     """
-    if not (m_cap >= t_start >= 2):
-        raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
-    for g in range(t_start, m_cap + 1):
-        if all(equivalence_report(seq, m, g).generated for m in range(g + 1, m_cap + 1)):
-            return g
-    return None
+    return generation_scan(seq, m_cap, t_start).degree
 
 
 @dataclass(frozen=True)
@@ -225,12 +252,20 @@ class NonEquivalent:
     target_component: int
 
 
-def _pair_targets(seq: VanishingSequence) -> dict[int, list[tuple[int, int]]]:
-    table: dict[int, list[tuple[int, int]]] = {}
-    for i in range(len(seq)):
-        for j in range(i, len(seq)):
-            table.setdefault(seq[i] + seq[j], []).append((i, j))
-    return table
+def _pair_targets(seq: VanishingSequence) -> list[list[list[tuple[int, int, Move]]]]:
+    # targets[i][j], i <= j: every other pair (k, l) of equal weight sum,
+    # as (k, l, move), in ascending (k, l) order.
+    n = len(seq)
+    by_sum: dict[int, list[tuple[int, int]]] = {}
+    for i in range(n):
+        for j in range(i, n):
+            by_sum.setdefault(seq[i] + seq[j], []).append((i, j))
+    targets: list[list[list[tuple[int, int, Move]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            targets[i][j] = [(k, l, ((i, j), (k, l))) for k, l in by_sum[seq[i] + seq[j]]
+                             if (k, l) != (i, j)]
+    return targets
 
 
 def apply_move(xi: Monomial, move: Move) -> Monomial:
@@ -244,18 +279,6 @@ def apply_move(xi: Monomial, move: Move) -> Monomial:
     out[k] += 1
     out[l] += 1
     return tuple(out)
-
-
-def _moves_from(xi: Monomial, seq: VanishingSequence, table) -> Iterator[tuple[Monomial, Move]]:
-    occupied = [i for i, k in enumerate(xi) if k]
-    for a, i in enumerate(occupied):
-        for j in occupied[a:]:
-            if i == j and xi[i] < 2:
-                continue
-            for k, l in table[seq[i] + seq[j]]:
-                if (k, l) == (i, j):
-                    continue
-                yield apply_move(xi, ((i, j), (k, l))), ((i, j), (k, l))
 
 
 def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:
@@ -284,25 +307,43 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
             f"{xi} and {eta} differ in degree or weight; no move sequence can join them")
     if xi == eta:
         return []
-    table = _pair_targets(seq)
+    targets = _pair_targets(seq)
     parent: dict[Monomial, tuple[Monomial, Move]] = {xi: (xi, ((0, 0), (0, 0)))}
     frontier = [xi]
     while frontier:
         nxt = []
         for pos in frontier:
-            for new, move in _moves_from(pos, seq, table):
-                if new in parent:
-                    continue
-                parent[new] = (pos, move)
-                if new == eta:
-                    trace = []
-                    cur = eta
-                    while cur != xi:
-                        cur, mv = parent[cur]
-                        trace.append(mv)
-                    trace.reverse()
-                    return trace
-                nxt.append(new)
+            # Two pieces leave occupied squares i <= j for another pair
+            # (k, l) of equal weight sum.  Neighbours come in ascending
+            # (i, j, k, l) order, which fixes the trace returned.
+            occupied = [i for i, k in enumerate(pos) if k]
+            for a, i in enumerate(occupied):
+                for j in occupied[a:]:
+                    if i == j and pos[i] < 2:
+                        continue
+                    moves = targets[i][j]
+                    if not moves:
+                        continue
+                    base = list(pos)
+                    base[i] -= 1
+                    base[j] -= 1
+                    for k, l, move in moves:
+                        out = base.copy()
+                        out[k] += 1
+                        out[l] += 1
+                        new = tuple(out)
+                        if new in parent:
+                            continue
+                        parent[new] = (pos, move)
+                        if new == eta:
+                            trace = []
+                            cur = eta
+                            while cur != xi:
+                                cur, mv = parent[cur]
+                                trace.append(mv)
+                            trace.reverse()
+                            return trace
+                        nxt.append(new)
         frontier = nxt
     ids = _component_ids(seq, degree(xi))
     return NonEquivalent(ids[xi], ids[eta])

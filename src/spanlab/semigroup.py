@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .errors import EmptyGenerators, GcdNotOne, NegativeEntry
+from .errors import EmptyGenerators, GcdNotOne, NegativeEntry, SemigroupTooLarge
 from .sequences import VanishingSequence, normalize
 from .span import span_sequence
 
@@ -44,13 +44,13 @@ class CurveInvariants:
         return self.gaps_at_zero + self.gaps_at_infinity
 
 
-def semigroup_of(generators: Iterable[int]) -> NumericalSemigroup:
-    """Compute the gap list of the semigroup generated by ``generators``.
+# Fail-fast limits: the Apéry set needs one integer per residue of the
+# smallest generator, and ``semigroup_of`` lists every gap.
+MAX_SMALLEST_GENERATOR = 100_000
+MAX_GAPS = 1_000_000
 
-    Sieve of representable integers, extended until a run of ``min(generators)``
-    consecutive representable integers appears; every larger integer is then
-    representable, so the sieve provably captured all gaps.
-    """
+
+def _generators(generators: Iterable[int]) -> list[int]:
     gens = sorted(set(int(g) for g in generators))
     if not gens:
         raise EmptyGenerators("need at least one generator")
@@ -61,36 +61,75 @@ def semigroup_of(generators: Iterable[int]) -> NumericalSemigroup:
         g = gcd(g, x)
     if g != 1:
         raise GcdNotOne(f"gcd of {gens} is {g}; gap set would be infinite")
-    g_min = gens[0]
-    if g_min == 1:
-        return NumericalSemigroup(tuple(gens), (), -1)
-    bound = 2 * gens[-1]
-    while True:
-        representable = bytearray(bound + 1)
-        representable[0] = 1
-        run = 0
-        for i in range(1, bound + 1):
-            if any(i >= gen and representable[i - gen] for gen in gens):
-                representable[i] = 1
-                run += 1
-                if run == g_min:
-                    gaps = tuple(j for j in range(1, i + 1) if not representable[j])
-                    return NumericalSemigroup(tuple(gens), gaps, gaps[-1] if gaps else -1)
-            else:
-                run = 0
-        bound *= 2
+    if gens[0] > MAX_SMALLEST_GENERATOR:
+        raise SemigroupTooLarge(
+            f"smallest generator {gens[0]} exceeds the limit of {MAX_SMALLEST_GENERATOR}")
+    return gens
+
+
+def _apery_set(gens: list[int]) -> list[int]:
+    """``w[r]``: the smallest element of the semigroup congruent to r modulo
+    the smallest generator a.
+
+    Shortest paths in the residue graph mod a, one round-robin pass per
+    further generator b: along each cycle of the step r -> r + b (mod a),
+    start from its smallest known entry and relax around the cycle once
+    (Böcker & Lipták 2007).
+    """
+    a = gens[0]
+    inf = float("inf")
+    w = [inf] * a
+    w[0] = 0
+    for b in gens[1:]:
+        d = gcd(a, b)
+        for p in range(d):
+            n = min(w[p::d])
+            if n == inf:
+                continue
+            for _ in range(a // d - 1):
+                n += b
+                r = n % a
+                if w[r] < n:
+                    n = w[r]
+                else:
+                    w[r] = n
+    return w
+
+
+def _gap_count(w: list[int]) -> int:
+    # Selmer's formula: residue r contributes the gaps r, r + a, ..., w[r] - a.
+    a = len(w)
+    return (sum(w) - a * (a - 1) // 2) // a
+
+
+def semigroup_of(generators: Iterable[int]) -> NumericalSemigroup:
+    """Compute the gap list of the semigroup generated by ``generators``.
+
+    Every gap is r + k*a below the Apéry element ``w[r]`` of its residue r
+    modulo the smallest generator a, and the largest is ``max(w) - a``.
+    Raises ``SemigroupTooLarge``, before allocating, when the smallest
+    generator or the gap count exceeds its fixed limit.
+    """
+    gens = _generators(generators)
+    w = _apery_set(gens)
+    a = gens[0]
+    count = _gap_count(w)
+    if count > MAX_GAPS:
+        raise SemigroupTooLarge(f"{count} gaps exceed the limit of {MAX_GAPS}")
+    gaps = sorted(g for r in range(1, a) for g in range(r, w[r], a))
+    return NumericalSemigroup(tuple(gens), tuple(gaps), max(w) - a)
 
 
 def curve_invariants(seq: VanishingSequence) -> CurveInvariants:
     """Degree and the two local gap counts for the normalized sequence."""
     b, _, _ = normalize(seq)
     top = b[-1]
-    at_zero = semigroup_of(b.entries[1:])
-    at_infinity = semigroup_of(tuple(top - a for a in b.entries[:-1]))
+    at_zero = _apery_set(_generators(b.entries[1:]))
+    at_infinity = _apery_set(_generators(tuple(top - a for a in b.entries[:-1])))
     return CurveInvariants(
         degree=top,
-        gaps_at_zero=len(at_zero.gaps),
-        gaps_at_infinity=len(at_infinity.gaps),
+        gaps_at_zero=_gap_count(at_zero),
+        gaps_at_infinity=_gap_count(at_infinity),
     )
 
 

@@ -371,11 +371,13 @@ def _suite_maximality_transfer(cfg: SweepConfig) -> tuple[int, list[dict]]:
         }
         for label, system in systems.items():
             inputs = {"seq": list(seq.entries), "system": label}
-            _check_true(failures, {**inputs, "check": "two_maximal"},
-                        is_m_maximal(system, 2))
+            # A returned report implies 2-maximality, the first hypothesis
+            # it checks; the separate rank is needed only on failure.
             try:
                 report = check_ideal_propagation(system, 2, t_max=5)
             except (HypothesisFailed, PropagationFailed) as exc:
+                _check_true(failures, {**inputs, "check": "two_maximal"},
+                            is_m_maximal(system, 2))
                 _fail(failures, {**inputs, "check": "propagation"}, "report", repr(exc))
                 checked += 1
                 continue

@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spanlab import (
     LengthMismatch,
@@ -15,6 +16,7 @@ from spanlab import (
     equivalence_report,
     exchange_degree,
     generation_degree,
+    generation_scan,
     interlaced,
     monomials_of_degree,
     move_trace,
@@ -29,6 +31,7 @@ from spanlab import (
     weight,
     weight_class,
 )
+from spanlab.monomial_ideal import _partition
 
 
 class TestBasics:
@@ -223,3 +226,104 @@ class TestApStrategy:
 
     def test_inconclusive_outside_progressions(self):
         assert ap_move_strategy((2, 0, 1), (0, 3, 0), validate([0, 1, 3])) is None
+
+
+def pairwise_partition(seq, m, t):
+    """Oracle: union-find over every pair of each weight class."""
+    classes = {}
+    for xi in monomials_of_degree(m, len(seq)):
+        classes.setdefault(weight(xi, seq), []).append(xi)
+    partition = []
+    for w in sorted(classes):
+        members = classes[w]
+        parent = list(range(len(members)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if exchange_degree(members[i], members[j]) <= t:
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)
+        groups = {}
+        for i, xi in enumerate(members):
+            groups.setdefault(find(i), []).append(xi)
+        partition.append((w, sorted(groups.values(), key=lambda g: g[0])))
+    return partition
+
+
+def brute_generated(seq, m, t):
+    return all(len(comps) == 1 for _, comps in pairwise_partition(seq, m, t))
+
+
+def brute_generation_degree(seq, m_cap, t_start):
+    for g in range(t_start, m_cap + 1):
+        if all(brute_generated(seq, m, g) for m in range(g + 1, m_cap + 1)):
+            return g
+    return None
+
+
+@st.composite
+def small_sequences(draw):
+    n = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(0, 12), min_size=n + 1, max_size=n + 1, unique=True))
+    return validate(sorted(entries))
+
+
+class TestPartitionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(small_sequences(), st.integers(1, 6), st.sampled_from([2, 3]))
+    def test_matches_pairwise_union_find(self, seq, m, t):
+        assert _partition(seq, m, t) == pairwise_partition(seq, m, t)
+
+    @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 1, 2, 5),
+                                         (0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 7)])
+    @pytest.mark.parametrize("t_start", [2, 3])
+    def test_generation_degree_and_table_match_brute_force(self, entries, t_start):
+        seq = validate(entries)
+        m_cap = 6
+        scan = generation_scan(seq, m_cap, t_start)
+        expected = brute_generation_degree(seq, m_cap, t_start)
+        assert generation_degree(seq, m_cap, t_start) == expected
+        assert scan.degree == expected
+        assert {m: t == 2 for m, t in scan.orders.items()} == {
+            m: brute_generated(seq, m, 2) for m in range(3, m_cap + 1)}
+        for m, t in scan.orders.items():
+            assert brute_generated(seq, m, t)
+            assert t == 2 or not brute_generated(seq, m, t - 1)
+
+
+# The search's expansion order fixes which shortest trace is returned; these
+# move lists and component ids are part of the CLI output and must not drift.
+_RECORDED_TRACES = [
+    ((0, 1, 2), (1, 0, 1), (0, 2, 0),
+     [((0, 2), (1, 1))]),
+    ((0, 1, 2, 3), (2, 0, 0, 2), (0, 2, 2, 0),
+     [((0, 3), (1, 2)), ((0, 3), (1, 2))]),
+    ((0, 1, 2, 3, 5), (3, 0, 0, 0, 2), (1, 0, 2, 2, 0),
+     [((0, 4), (2, 3)), ((0, 4), (2, 3))]),
+    ((0, 2, 3, 4, 5, 6, 7), (4, 0, 0, 1, 0, 0, 2), (1, 0, 6, 0, 0, 0, 0),
+     [((0, 3), (1, 1)), ((0, 6), (2, 3)), ((0, 6), (2, 3)), ((1, 3), (2, 2)), ((1, 3), (2, 2))]),
+    ((0, 1, 2, 3, 4, 5, 6), (3, 1, 0, 0, 0, 0, 3), (0, 1, 0, 6, 0, 0, 0),
+     [((0, 6), (3, 3)), ((0, 6), (3, 3)), ((0, 6), (3, 3))]),
+    ((6, 8, 10, 12, 14, 16, 18, 20, 22), (0, 0, 3, 5, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0, 1, 0, 0, 2),
+     [((2, 3), (0, 5)), ((2, 3), (0, 5)), ((2, 3), (0, 5)), ((3, 5), (0, 8)), ((3, 5), (0, 8))]),
+    ((6, 14, 18, 22, 26, 30, 34), (4, 0, 1, 0, 0, 0, 2), (0, 4, 3, 0, 0, 0, 0),
+     [((0, 6), (1, 4)), ((0, 4), (1, 2)), ((0, 6), (1, 4)), ((0, 4), (1, 2))]),
+    ((6, 10, 12, 14, 16, 18, 20), (0, 0, 6, 3, 0, 0, 0), (4, 1, 0, 0, 0, 0, 4),
+     [((2, 2), (0, 5)), ((2, 3), (0, 6)), ((2, 3), (0, 6)), ((2, 3), (0, 6)), ((2, 5), (1, 6))]),
+    ((1, 7, 10, 13, 16, 19, 22), (1, 0, 1, 0, 0, 0, 5), (0, 0, 0, 0, 4, 3, 0),
+     [((0, 6), (1, 4)), ((1, 6), (2, 5)), ((2, 6), (3, 5)), ((2, 6), (4, 4)), ((3, 6), (4, 5))]),
+    ((0, 1, 3), (2, 0, 1), (0, 3, 0),
+     NonEquivalent(source_component=4, target_component=3)),
+    ((0, 1, 3), (2, 0, 2), (0, 3, 1),
+     NonEquivalent(source_component=9, target_component=8)),
+]
+
+
+@pytest.mark.parametrize("entries,source,target,expected", _RECORDED_TRACES)
+def test_move_trace_recorded(entries, source, target, expected):
+    assert move_trace(source, target, validate(entries)) == expected

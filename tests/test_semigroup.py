@@ -1,8 +1,12 @@
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spanlab import (
     EmptyGenerators,
     GcdNotOne,
+    SemigroupTooLarge,
     curve_invariants,
     hilbert_polynomial,
     near_ap_high,
@@ -14,6 +18,7 @@ from spanlab import (
     stabilization_threshold,
     validate,
 )
+from spanlab.semigroup import MAX_GAPS, MAX_SMALLEST_GENERATOR
 
 
 def brute_force_gaps(gens, bound=200):
@@ -25,6 +30,26 @@ def brute_force_gaps(gens, bound=200):
         frontier = nxt - reach
         reach |= nxt
     return [k for k in range(1, bound + 1) if k not in reach]
+
+
+def sieve_gaps(gens):
+    """Oracle: sieve of representable integers, extended until a run of
+    min(gens) consecutive representable integers closes it."""
+    gens = sorted(set(gens))
+    bound = 2 * gens[-1]
+    while True:
+        representable = bytearray(bound + 1)
+        representable[0] = 1
+        run = 0
+        for i in range(1, bound + 1):
+            if any(i >= g and representable[i - g] for g in gens):
+                representable[i] = 1
+                run += 1
+                if run == gens[0]:
+                    return [j for j in range(1, i + 1) if not representable[j]]
+            else:
+                run = 0
+        bound *= 2
 
 
 class TestSemigroupOf:
@@ -50,8 +75,40 @@ class TestSemigroupOf:
         with pytest.raises(EmptyGenerators):
             semigroup_of([])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    def test_matches_sieve(self, gens):
+        assume(gcd(*gens) == 1)
+        sg = semigroup_of(gens)
+        oracle = sieve_gaps(gens)
+        assert list(sg.gaps) == oracle
+        assert sg.frobenius == (oracle[-1] if oracle else -1)
+
+    def test_smallest_generator_limit(self):
+        with pytest.raises(SemigroupTooLarge):
+            semigroup_of([MAX_SMALLEST_GENERATOR + 1, MAX_SMALLEST_GENERATOR + 2])
+        assert semigroup_of([MAX_SMALLEST_GENERATOR, 1]).gaps == ()
+
+    def test_gap_count_limit(self):
+        # Two coprime generators a < b leave (a - 1)(b - 1)/2 gaps.
+        with pytest.raises(SemigroupTooLarge):
+            semigroup_of([1009, 2003])
+        assert (1009 - 1) * (2003 - 1) // 2 > MAX_GAPS
+        assert len(semigroup_of([1009, 1013]).gaps) == (1009 - 1) * (1013 - 1) // 2
+
 
 class TestCurveInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True))
+    def test_gap_counts_match_sieve(self, entries):
+        seq = validate(sorted(entries))
+        inv = curve_invariants(seq)
+        b = [a - seq[0] for a in seq]
+        g = gcd(*b)
+        b = [a // g for a in b]
+        assert inv.gaps_at_zero == len(sieve_gaps(b[1:]))
+        assert inv.gaps_at_infinity == len(sieve_gaps([b[-1] - a for a in b[:-1]]))
+
     def test_cuspidal_cubic(self):
         inv = curve_invariants(validate([0, 1, 3]))
         assert (inv.degree, inv.gaps_at_zero, inv.gaps_at_infinity) == (3, 0, 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,32 @@ class TestCli:
         assert run_cli(capsys, "span", "--seq", "0,1,3", "--m", "0")[0] == 1
         assert run_cli(capsys, "hilbert", "--seq", "0,1,3", "--mcap", "1")[0] == 1
         assert run_cli(capsys, "bounds", "hypersurfaces", "--n", "0", "--m", "2")[0] == 1
+
+    def test_oversized_semigroup_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["semigroup", "--gens", "1000000007,1000000009"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_repeated_calls_share_parser_state_safely(self, capsys):
+        argv = ["ideal", "gendeg", "--seq", "0,1,3", "--mcap", "5", "--json"]
+
+        def envelope():
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            env = json.loads(out)
+            del env["seconds"]
+            return env
+
+        first = envelope()
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", "gendeg", "--mcap", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert envelope() == first
+        assert first["result"]["quadric_generated_by_degree"] == {
+            "3": False, "4": False, "5": False}
 
     def test_missing_sections_file(self, capsys):
         assert main(["jets", "rank", "--sections-file", "/nonexistent.json", "--m", "2"]) == 1
