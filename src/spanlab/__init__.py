@@ -21,6 +21,7 @@ from .errors import (
     PropagationFailed,
     SemigroupTooLarge,
     SpanlabError,
+    SumsetTooLarge,
     TooShort,
     TruncationMismatch,
     TruncationTooSmall,

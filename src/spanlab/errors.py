@@ -34,6 +34,11 @@ class SemigroupTooLarge(SpanlabError):
     limit that keeps memory bounded."""
 
 
+class SumsetTooLarge(SpanlabError):
+    """The m-fold sums reach past the fixed limit on the sumset bitmask that
+    keeps time and memory bounded."""
+
+
 class LengthMismatch(SpanlabError):
     """Exponent vector length must equal the sequence length."""
 

@@ -438,7 +438,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
                  for var in range(nvars)] for xi in monomials]
         shifted: list[list[int]] = []
         for vec in _linalg.left_kernel_basis(rows, n_coeffs):
-            entries = [(pos, c) for pos, c in enumerate(_linalg.clear_denominators(vec)) if c]
+            entries = [(pos, c) for pos, c in enumerate(vec) if c]
             for var in range(nvars):
                 row = [0] * len(columns)
                 for pos, c in entries:
@@ -446,7 +446,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
                 shifted.append(row)
         # The shifted relations always sit inside the degree-(t+1) kernel, so
         # their rank is at most kernel_dims[t+1]; equality is what must hold.
-        ok = _linalg.rank_at_least(shifted, kernel_dims[t + 1])
+        ok = _linalg.rank(shifted) >= kernel_dims[t + 1]
         one_step[t] = ok
         if not ok:
             raise PropagationFailed(

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .errors import SumsetTooLarge
 from .sequences import VanishingSequence
+
+# Fail-fast limit on m * a_n, the top bit of the m-fold sumset bitmask.  The
+# time to build all of v_1, ..., v_m grows with m times this, so the limit
+# keeps every call well under a second for short sequences.
+MAX_SUMSET_BITS = 1_000_000
 
 
 class Verdict(str, Enum):
@@ -47,10 +53,17 @@ class SpanClassification:
     step: Optional[int] = None
 
 
+def _check_bits(seq: VanishingSequence, m: int) -> None:
+    if m * seq[-1] > MAX_SUMSET_BITS:
+        raise SumsetTooLarge(
+            f"{m}-fold sums up to {m * seq[-1]} exceed the limit of {MAX_SUMSET_BITS}")
+
+
 def _sumset_bits(seq: VanishingSequence, m: int) -> int:
     # Characteristic bitmask of v_m; iterated sumset v_{j+1} = v_j + entries.
     # Bit k set <=> k is a sum of exactly j entries.  OR-ing shifted copies
     # is the sorted-merge dedup in disguise and is exact on Python ints.
+    _check_bits(seq, m)
     mask = 0
     for a in seq:
         mask |= 1 << a
@@ -88,6 +101,7 @@ def span_sequence(seq: VanishingSequence, m_max: int) -> list[int]:
     """Spans for m = 1, ..., m_max computed in one sumset iteration."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    _check_bits(seq, m_max)
     mask = 0
     for a in seq:
         mask |= 1 << a

@@ -2,16 +2,9 @@ import random
 from fractions import Fraction as F
 
 import sympy
+from hypothesis import given, strategies as st
 
-from spanlab._linalg import (
-    IncrementalRank,
-    clear_denominators,
-    left_kernel_basis,
-    rank,
-    rank_at_least,
-    rank_mod_p,
-    right_kernel_basis,
-)
+from spanlab._linalg import IncrementalRank, clear_denominators, left_kernel_basis, rank
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -22,6 +15,23 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
              for c in range(cols)] for _ in range(rows)]
 
 
+def _matrices(entries):
+    # Up to 8x8, every row of the same length.
+    return st.integers(1, 8).flatmap(lambda ncols: st.lists(
+        st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+
+
+def check_left_kernel(m):
+    nrows, ncols = len(m), len(m[0])
+    basis = left_kernel_basis(m, ncols)
+    assert len(basis) == nrows - sympy.Matrix(m).rank()
+    for coeffs in basis:
+        assert all(type(c) is int for c in coeffs)
+        assert all(sum(coeffs[i] * m[i][c] for i in range(nrows)) == 0 for c in range(ncols))
+    if basis:
+        assert sympy.Matrix(basis).rank() == len(basis)
+
+
 class TestRank:
     def test_against_sympy(self):
         rng = random.Random(0)
@@ -29,6 +39,11 @@ class TestRank:
             m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8),
                               rank_cap=rng.choice([None, 1, 2, 3]))
             assert rank(m) == sympy.Matrix(m).rank(), m
+        # Matrices that collapse modulo a word-size prime but not over the
+        # rationals: the rank must not depend on any reduction.
+        p = 1_000_003
+        for m, expected in (([[p, 0], [0, p]], 2), ([[p, 0], [2 * p, 0]], 1)):
+            assert rank(m) == sympy.Matrix(m).rank() == expected
 
     def test_incremental_matches_batch(self):
         rng = random.Random(1)
@@ -41,36 +56,8 @@ class TestRank:
         assert rank([]) == 0
         assert rank([[0, 0], [0, 0]]) == 0
 
-    def test_modular_never_exceeds_exact(self):
-        rng = random.Random(2)
-        for trial in range(25):
-            m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8),
-                              rank_cap=rng.choice([None, 2]))
-            assert rank_mod_p(m) <= rank(m)
-            # generic small entries: the reduction is faithful
-            assert rank_mod_p(m) == sympy.Matrix(m).rank()
-
-    def test_rank_at_least_falls_back_on_bad_reduction(self):
-        # A matrix that collapses mod p but not over the rationals: the
-        # modular certificate is inconclusive and the exact path must decide.
-        p = 1_000_003
-        m = [[p, 0], [0, p]]
-        assert rank_mod_p(m) == 0
-        assert rank_at_least(m, 2)
-        assert not rank_at_least([[p, 0], [2 * p, 0]], 2)
-
 
 class TestKernels:
-    def test_right_kernel_against_sympy(self):
-        rng = random.Random(3)
-        for trial in range(15):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
-            m = random_matrix(rng, nrows, ncols, rank_cap=rng.choice([None, 1, 2]))
-            basis = right_kernel_basis(m, ncols)
-            assert len(basis) == ncols - sympy.Matrix(m).rank()
-            for vec in basis:
-                assert all(sum(row[c] * vec[c] for c in range(ncols)) == 0 for row in m)
-
     def test_left_kernel_annihilates_rows(self):
         rng = random.Random(4)
         m = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)] for _ in range(8)]
@@ -79,6 +66,14 @@ class TestKernels:
         for coeffs in basis:
             combo = [sum(coeffs[i] * m[i][c] for i in range(8)) for c in range(6)]
             assert all(x == 0 for x in combo)
+
+    @given(_matrices(st.integers(-3, 3)))
+    def test_left_kernel_against_sympy_on_ints(self, m):
+        check_left_kernel(m)
+
+    @given(_matrices(st.fractions(-3, 3, max_denominator=4)))
+    def test_left_kernel_against_sympy_on_fractions(self, m):
+        check_left_kernel(m)
 
 
 def test_clear_denominators():

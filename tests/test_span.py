@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanlab import (
+    SumsetTooLarge,
     Verdict,
     chain_values,
     classify,
@@ -16,6 +17,7 @@ from spanlab import (
     translate,
     validate,
 )
+from spanlab.span import MAX_SUMSET_BITS
 
 
 def brute_force_sums(entries, m):
@@ -80,6 +82,16 @@ class TestSpan:
     def test_span_sequence_consistent(self):
         seq = validate([0, 2, 5])
         assert span_sequence(seq, 6) == [span(seq, m) for m in range(1, 7)]
+
+    def test_sumset_bits_limit(self):
+        # m * a_n may reach the limit but not pass it, whatever the entry point.
+        half = validate([0, 1, MAX_SUMSET_BITS // 2])
+        assert span(half, 2) == 6
+        assert span_sequence(half, 2) == [3, 6]
+        for call in (lambda: span(half, 3), lambda: power_sumset(half, 3),
+                     lambda: span_sequence(half, 3)):
+            with pytest.raises(SumsetTooLarge):
+                call()
 
     @given(seq_and_m())
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import spanlab
 from spanlab import SUITE_IDS, SweepConfig, UnknownSuite, run_all, run_suite
 from spanlab.cli import main
 
@@ -191,6 +195,13 @@ class TestCli:
         assert code == 1
         assert "exceeds the limit" in capsys.readouterr().err
 
+    def test_oversized_sumset_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["hilbert", "--seq", "0,99999,100000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceed the limit" in capsys.readouterr().err
+
     def test_repeated_calls_share_parser_state_safely(self, capsys):
         argv = ["ideal", "gendeg", "--seq", "0,1,3", "--mcap", "5", "--json"]
 
@@ -212,3 +223,14 @@ class TestCli:
 
     def test_missing_sections_file(self, capsys):
         assert main(["jets", "rank", "--sections-file", "/nonexistent.json", "--m", "2"]) == 1
+
+
+def test_import_does_not_load_numpy():
+    # spanlab has no runtime dependency; keep numpy from creeping back in.
+    src = os.path.dirname(os.path.dirname(spanlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, spanlab, spanlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
