@@ -61,9 +61,23 @@ def _int_list(text: str) -> str:
     return text
 
 
+def _positive_int(text: str) -> int:
+    # argparse type for sweep sizes: zero or less is a usage error (exit 2),
+    # not a silent fall-back to the suite default.
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _load_sections(path: str) -> JetSystem:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
+        raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
     sections = tuple(tuple(Fraction(str(c)) for c in sec) for sec in raw)
     return JetSystem(sections)
 
@@ -402,9 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_IDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-entry", type=int, default=None)
-    p.add_argument("--mcap", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--max-entry", type=_positive_int, default=None)
+    p.add_argument("--mcap", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--falsify-oracle", action="store_true",
                    help="self-test: corrupt one expected value per suite")

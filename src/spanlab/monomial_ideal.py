@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Optional, Union
 
 from .errors import LengthMismatch, PreconditionViolated
@@ -96,17 +96,28 @@ def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
     """Tally the weights of all degree-m monomials in n+1 variables."""
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
+    entries = seq.entries
     counts: dict[int, int] = {}
-    for xi in monomials_of_degree(m, len(seq)):
-        w = weight(xi, seq)
+    for xi in monomials_of_degree(m, len(entries)):
+        w = sum(map(mul, entries, xi))
         counts[w] = counts.get(w, 0) + 1
     assert sum(counts.values()) == comb(m + seq.n, seq.n)
     return BigradedDims(m, counts)
 
 
+def _weight_classes(seq: VanishingSequence, m: int) -> dict[int, list[Monomial]]:
+    # Degree-m monomials grouped by weight, in lexicographic order inside
+    # each class.
+    entries = seq.entries
+    classes: dict[int, list[Monomial]] = {}
+    for xi in monomials_of_degree(m, len(entries)):
+        classes.setdefault(sum(map(mul, entries, xi)), []).append(xi)
+    return classes
+
+
 def weight_class(seq: VanishingSequence, m: int, w: int) -> list[Monomial]:
     """Degree-m monomials of weight w, in lexicographic order."""
-    return [xi for xi in monomials_of_degree(m, len(seq)) if weight(xi, seq) == w]
+    return _weight_classes(seq, m).get(w, [])
 
 
 def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
@@ -118,10 +129,11 @@ def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
     """
     if t < 2:
         raise ValueError(f"neighbor order must be >= 2, got {t}")
-    m = degree(xi)
     w = weight(xi, seq)
-    return [eta for eta in weight_class(seq, m, w)
-            if eta != xi and exchange_degree(xi, eta) <= t]
+    reach = 2 * t
+    # exchange_degree(xi, eta) <= t, as half the L1 distance (see _partition)
+    return [eta for eta in _weight_classes(seq, degree(xi)).get(w, ())
+            if eta != xi and sum(map(abs, map(sub, xi, eta))) <= reach]
 
 
 @dataclass(frozen=True)
@@ -141,14 +153,11 @@ class EquivalenceReport:
     witness: Optional[tuple[Monomial, Monomial]] = None
 
 
-def _partition(seq: VanishingSequence, m: int, t: int):
-    # Weight classes in ascending weight; inside each class, components of
-    # the t-step graph grown breadth-first from the lexicographically first
-    # member not yet reached, each popped member tested only against the
-    # members still unreached.
-    classes: dict[int, list[Monomial]] = {}
-    for xi in monomials_of_degree(m, len(seq)):
-        classes.setdefault(weight(xi, seq), []).append(xi)
+def _partition(classes: dict[int, list[Monomial]], t: int):
+    # Weight classes (a _weight_classes table) in ascending weight; inside
+    # each class, components of the t-step graph grown breadth-first from the
+    # lexicographically first member not yet reached, each popped member
+    # tested only against the members still unreached.
     reach = 2 * t
     partition = []
     for w in sorted(classes):
@@ -178,7 +187,7 @@ def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceRep
     """Partition degree-m monomials into weight classes and t-step components."""
     if not (m >= t >= 2):
         raise ValueError(f"need m >= t >= 2, got m={m}, t={t}")
-    partition = _partition(seq, m, t)
+    partition = _partition(_weight_classes(seq, m), t)
     n_classes = len(partition)
     n_components = sum(len(comps) for _, comps in partition)
     witness = None
@@ -222,13 +231,15 @@ class GenerationScan:
 
 def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
     """Smallest connecting move degree of each degree in [3; m_cap], with
-    one partition per tried t < m (t = m needs none)."""
+    one weight-class table per degree and one partition per tried t < m
+    (t = m needs none)."""
     if not (m_cap >= t_start >= 2):
         raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
     orders = {}
     for m in range(3, m_cap + 1):
+        classes = _weight_classes(seq, m)
         t = 2
-        while t < m and not equivalence_report(seq, m, t).generated:
+        while t < m and any(len(comps) > 1 for _, comps in _partition(classes, t)):
             t += 1
         orders[m] = t
     return GenerationScan(m_cap, t_start, orders)
@@ -284,7 +295,7 @@ def apply_move(xi: Monomial, move: Move) -> Monomial:
 def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:
     ids: dict[Monomial, int] = {}
     next_id = 0
-    for _, comps in _partition(seq, m, 2):
+    for _, comps in _partition(_weight_classes(seq, m), 2):
         for comp in comps:
             for xi in comp:
                 ids[xi] = next_id

@@ -110,18 +110,36 @@ def near_ap_low(n: int, d: int) -> VanishingSequence:
     return VanishingSequence((0,) + tuple(d * i for i in range(2, n + 2)))
 
 
-def _fail(failures: list[dict], inputs: dict, expected, got):
-    failures.append({"input": inputs, "expected": repr(expected), "got": repr(got)})
+class _Checks:
+    """Check recorder of one suite run.
 
+    A suite opens each case (one input instance) with ``case`` and runs named
+    checks on it; ``cases`` is the report's ``checked``.  A failed check is
+    recorded with the case's inputs, its name and any extra inputs.
+    ``bias`` is what ``falsify_oracle`` adds to one expected value per suite.
+    """
 
-def _check(failures, inputs, expected, got):
-    if expected != got:
-        _fail(failures, inputs, expected, got)
+    def __init__(self, falsify_oracle: bool):
+        self.bias = 1 if falsify_oracle else 0
+        self.failures: list[dict] = []
+        self.cases = 0
+        self._inputs: dict = {}
 
+    def case(self, **inputs) -> None:
+        self.cases += 1
+        self._inputs = inputs
 
-def _check_true(failures, inputs, condition):
-    if not condition:
-        _fail(failures, inputs, True, False)
+    def equal(self, name: str, expected, got, **extra) -> None:
+        if expected != got:
+            self.fail(name, expected, got, **extra)
+
+    def true(self, name: str, condition, **extra) -> None:
+        if not condition:
+            self.fail(name, True, False, **extra)
+
+    def fail(self, name: str, expected, got, **extra) -> None:
+        self.failures.append({"input": {**self._inputs, "check": name, **extra},
+                              "expected": repr(expected), "got": repr(got)})
 
 
 def _derived_seed(base: int, seq: VanishingSequence, index: int) -> int:
@@ -131,44 +149,32 @@ def _derived_seed(base: int, seq: VanishingSequence, index: int) -> int:
     return h * 1009 + index
 
 
-def _suite_extremal_spans(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_extremal_spans(cfg: SweepConfig, ck: _Checks) -> None:
     # Exhaustive check of the extremal-span classification: minimal span
     # exactly for arithmetic progressions, then a gap, then the near-AP value.
     n_lo, n_hi = cfg.n_range or (1, 6)
     max_entry = cfg.max_entry or 12
     m_lo, m_hi = cfg.m_range or (2, 5)
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for seq in normalized_sequences(n_lo, n_hi, max_entry):
         n = seq.n
         verdict = classify(seq, m_lo).verdict
         spans = span_sequence(seq, m_hi)
         for m in range(m_lo, m_hi + 1):
             s = spans[m - 1]
-            inputs = {"seq": list(seq.entries), "m": m}
-            _check_true(failures, {**inputs, "check": "lower_bound"}, s >= m * n + 1 + bias)
-            _check(failures, {**inputs, "check": "minimal_iff_ap"},
-                   verdict == Verdict.ARITHMETIC_PROGRESSION, s == m * n + 1)
-            _check_true(failures, {**inputs, "check": "gap"},
-                        not (m * n + 1 < s < m * (n + 1)))
+            ck.case(seq=list(seq.entries), m=m)
+            ck.true("lower_bound", s >= m * n + 1 + ck.bias)
+            ck.equal("minimal_iff_ap", verdict == Verdict.ARITHMETIC_PROGRESSION, s == m * n + 1)
+            ck.true("gap", not (m * n + 1 < s < m * (n + 1)))
             if n >= 3:
                 near = verdict in (Verdict.NEAR_AP_HIGH, Verdict.NEAR_AP_LOW)
-                _check(failures, {**inputs, "check": "next_iff_near_ap"},
-                       near, s == m * (n + 1))
-            _check_true(failures, {**inputs, "check": "upper_bound"},
-                        s <= min(comb(m + n, n), m * (seq[-1] - seq[0]) + 1))
-            checked += 1
-    return checked, failures
+                ck.equal("next_iff_near_ap", near, s == m * (n + 1))
+            ck.true("upper_bound", s <= min(comb(m + n, n), m * (seq[-1] - seq[0]) + 1))
 
 
-def _suite_span_invariance(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_span_invariance(cfg: SweepConfig, ck: _Checks) -> None:
     # Span is invariant under translation, scaling and reversal.
     trials = cfg.random_trials or 10_000
     rng = random.Random(cfg.seed)
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for trial in range(trials):
         n = rng.randint(1, 5)
         entries = tuple(sorted(rng.sample(range(0, 30), n + 1)))
@@ -177,79 +183,58 @@ def _suite_span_invariance(cfg: SweepConfig) -> tuple[int, list[dict]]:
         c = rng.randint(-seq[0], 6)
         d = rng.randint(1, 4)
         base = span(seq, m)
-        inputs = {"seq": list(entries), "m": m, "c": c, "d": d, "trial": trial}
-        _check(failures, {**inputs, "check": "translate"}, base + bias, span(translate(seq, c), m))
-        _check(failures, {**inputs, "check": "scale"}, base, span(scale(seq, d), m))
-        _check(failures, {**inputs, "check": "reverse"}, base, span(reverse(seq), m))
-        _check_true(failures, {**inputs, "check": "lower_bound"}, base >= m * n + 1)
-        checked += 1
-    return checked, failures
+        ck.case(seq=list(entries), m=m, c=c, d=d, trial=trial)
+        ck.equal("translate", base + ck.bias, span(translate(seq, c), m))
+        ck.equal("scale", base, span(scale(seq, d), m))
+        ck.equal("reverse", base, span(reverse(seq), m))
+        ck.true("lower_bound", base >= m * n + 1)
 
 
-def _suite_dimension_agreement(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_dimension_agreement(cfg: SweepConfig, ck: _Checks) -> None:
     # Three independent computations of the same dimension must agree:
     # sumset span, weight tally of degree-m monomials, and the exact rank of
     # degree-m products of monomial jets.
     n_lo, n_hi = cfg.n_range or (1, 4)
     max_entry = cfg.max_entry or 8
     m_lo, m_hi = cfg.m_range or (1, 5)
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for seq in normalized_sequences(n_lo, n_hi, max_entry):
         system = monomial_system(seq)
         spans = span_sequence(seq, m_hi)
         for m in range(m_lo, m_hi + 1):
             dims = bigraded_dims(seq, m)
             rank_dim = sym_power_dim(system, m)
-            inputs = {"seq": list(seq.entries), "m": m}
-            _check(failures, {**inputs, "check": "sumset_vs_tally"},
-                   spans[m - 1] + bias, dims.quotient_dim)
-            _check(failures, {**inputs, "check": "tally_vs_rank"},
-                   dims.quotient_dim, rank_dim)
-            _check(failures, {**inputs, "check": "count_identity"},
-                   comb(m + seq.n, seq.n), dims.quotient_dim + dims.relation_dim)
-            _check_true(failures, {**inputs, "check": "upper_bound"},
-                        dims.quotient_dim <= comb(m + seq.n, seq.n))
-            checked += 1
-    return checked, failures
+            ck.case(seq=list(seq.entries), m=m)
+            ck.equal("sumset_vs_tally", spans[m - 1] + ck.bias, dims.quotient_dim)
+            ck.equal("tally_vs_rank", dims.quotient_dim, rank_dim)
+            ck.equal("count_identity", comb(m + seq.n, seq.n), dims.quotient_dim + dims.relation_dim)
+            ck.true("upper_bound", dims.quotient_dim <= comb(m + seq.n, seq.n))
 
 
-def _suite_hilbert_stabilization(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_hilbert_stabilization(cfg: SweepConfig, ck: _Checks) -> None:
     # The span eventually follows the line degree*m + 1 - genus, and the
     # threshold is always observed within the scanned range.
     n_lo, n_hi = cfg.n_range or (1, 5)
     max_entry = cfg.max_entry or 10
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for seq in normalized_sequences(n_lo, n_hi, max_entry):
         lead, const = hilbert_polynomial(seq)
-        const += bias
         m_cap = cfg.m_cap or 4 * lead
         spans = span_sequence(seq, m_cap)
         threshold = stabilization_threshold(seq, m_cap)
-        inputs = {"seq": list(seq.entries), "m_cap": m_cap}
-        _check_true(failures, {**inputs, "check": "threshold_exists"}, threshold is not None)
+        ck.case(seq=list(seq.entries), m_cap=m_cap)
+        ck.true("threshold_exists", threshold is not None)
         if threshold is not None:
             for m in range(threshold, m_cap + 1):
-                _check(failures, {**inputs, "check": "line_value", "m": m},
-                       lead * m + const, spans[m - 1])
+                ck.equal("line_value", lead * m + const + ck.bias, spans[m - 1], m=m)
         genus = curve_invariants(seq).arithmetic_genus
-        _check_true(failures, {**inputs, "check": "genus_nonnegative"}, genus >= 0)
-        checked += 1
-    return checked, failures
+        ck.true("genus_nonnegative", genus >= 0)
 
 
-def _suite_quadric_generation(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_quadric_generation(cfg: SweepConfig, ck: _Checks) -> None:
     # For progressions and near-progressions every equal-weight class stays
     # connected under two-piece moves, in every degree up to the cap; and
     # connectivity survives multiplication by an arbitrary monomial.
     m_lo, m_hi = cfg.m_range or (3, 6)
-    bias = 1 if cfg.falsify_oracle else 0
     rng = random.Random(cfg.seed)
-    checked = 0
-    failures: list[dict] = []
     family: list[VanishingSequence] = []
     family.extend(ap_sequence(n, d) for n in range(2, 6) for d in (1, 2, 3))
     family.extend(near_ap_high(n, d) for n in range(3, 6) for d in (1, 2))
@@ -257,12 +242,9 @@ def _suite_quadric_generation(cfg: SweepConfig) -> tuple[int, list[dict]]:
     for seq in family:
         for m in range(m_lo, m_hi + 1):
             rep = equivalence_report(seq, m, 2)
-            inputs = {"seq": list(seq.entries), "m": m}
-            _check(failures, {**inputs, "check": "connected"},
-                   rep.weight_classes + bias, rep.components)
-            _check_true(failures, {**inputs, "check": "component_count"},
-                        rep.components >= rep.weight_classes)
-            checked += 1
+            ck.case(seq=list(seq.entries), m=m)
+            ck.equal("connected", rep.weight_classes + ck.bias, rep.components)
+            ck.true("component_count", rep.components >= rep.weight_classes)
     # multiplication stability of connectivity, on traced neighbor pairs
     for seq in (ap_sequence(3, 1), near_ap_high(3, 1), near_ap_low(4, 1)):
         pairs = []
@@ -275,47 +257,36 @@ def _suite_quadric_generation(cfg: SweepConfig) -> tuple[int, list[dict]]:
             lifted_xi = tuple(a + b for a, b in zip(xi, lam))
             lifted_eta = tuple(a + b for a, b in zip(eta, lam))
             trace = move_trace(lifted_xi, lifted_eta, seq)
-            inputs = {"seq": list(seq.entries), "xi": list(lifted_xi), "eta": list(lifted_eta)}
-            _check_true(failures, {**inputs, "check": "multiplied_pair_connected"},
-                        not isinstance(trace, NonEquivalent))
-            checked += 1
-    return checked, failures
+            ck.case(seq=list(seq.entries), xi=list(lifted_xi), eta=list(lifted_eta))
+            ck.true("multiplied_pair_connected", not isinstance(trace, NonEquivalent))
 
 
-def _suite_cuspidal_cubic(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_cuspidal_cubic(cfg: SweepConfig, ck: _Checks) -> None:
     # The one sequence whose relation ideal is famously not generated by
     # quadrics: no degree-2 relations at all, a degree-3 relation class that
-    # splits, and generation observed only from degree 3 on.
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
+    # splits, and generation observed only from degree 3 on.  Each claim is
+    # its own case.
     seq = VanishingSequence((0, 1, 3))
-    inputs = {"seq": [0, 1, 3]}
-    _check(failures, {**inputs, "check": "no_quadric_relations"},
-           0 + bias, bigraded_dims(seq, 2).relation_dim)
-    _check_true(failures, {**inputs, "check": "cubic_relation_exists"},
-                bigraded_dims(seq, 3).relation_dim >= 1)
-    rep = equivalence_report(seq, 3, 2)
-    _check(failures, {**inputs, "check": "not_quadric_generated"}, False, rep.generated)
-    witness = set(rep.witness) if rep.witness else set()
-    _check(failures, {**inputs, "check": "witness_pair"},
-           {(2, 0, 1), (0, 3, 0)}, witness)
-    trace = move_trace((2, 0, 1), (0, 3, 0), seq)
-    _check_true(failures, {**inputs, "check": "witness_not_joinable"},
-                isinstance(trace, NonEquivalent))
-    _check(failures, {**inputs, "check": "generation_degree"},
-           3, generation_degree(seq, m_cap=8))
     mirrored = reverse(seq)
+    rep = equivalence_report(seq, 3, 2)
     rep_rev = equivalence_report(mirrored, 3, 2)
-    _check(failures, {"seq": list(mirrored.entries), "check": "mirror_split"},
-           False, rep_rev.generated)
-    _check(failures, {"seq": list(mirrored.entries), "check": "mirror_components"},
-           rep.components, rep_rev.components)
-    checked += 8
-    return checked, failures
+    claims = (
+        (seq, "no_quadric_relations", 0 + ck.bias, bigraded_dims(seq, 2).relation_dim),
+        (seq, "cubic_relation_exists", True, bigraded_dims(seq, 3).relation_dim >= 1),
+        (seq, "not_quadric_generated", False, rep.generated),
+        (seq, "witness_pair", {(2, 0, 1), (0, 3, 0)}, set(rep.witness or ())),
+        (seq, "witness_not_joinable", True,
+         isinstance(move_trace((2, 0, 1), (0, 3, 0), seq), NonEquivalent)),
+        (seq, "generation_degree", 3, generation_degree(seq, m_cap=8)),
+        (mirrored, "mirror_split", False, rep_rev.generated),
+        (mirrored, "mirror_components", rep.components, rep_rev.components),
+    )
+    for on, name, expected, got in claims:
+        ck.case(seq=list(on.entries))
+        ck.equal(name, expected, got)
 
 
-def _suite_perturbation_bounds(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_perturbation_bounds(cfg: SweepConfig, ck: _Checks) -> None:
     # Random tail perturbations can only lose relations: the product span is
     # at least the sumset span, and each weight level of the relation space
     # stays within the monomial model's count.  Some perturbation must be
@@ -323,9 +294,6 @@ def _suite_perturbation_bounds(cfg: SweepConfig) -> tuple[int, list[dict]]:
     n_lo, n_hi = cfg.n_range or (1, 3)
     max_entry = cfg.max_entry or 6
     trials = cfg.random_trials or 200
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     strict = 0
     for seq in normalized_sequences(n_lo, n_hi, max_entry):
         spans = span_sequence(seq, 3)
@@ -336,31 +304,22 @@ def _suite_perturbation_bounds(cfg: SweepConfig) -> tuple[int, list[dict]]:
                 profile = filtration_profile(system, m)
                 total = comb(m + seq.n, seq.n)
                 dim = total - profile.kernel_dim
-                inputs = {"seq": list(seq.entries), "m": m, "trial": k}
-                _check_true(failures, {**inputs, "check": "span_lower_bound"},
-                            dim >= spans[m - 1] + bias)
+                ck.case(seq=list(seq.entries), m=m, trial=k)
+                ck.true("span_lower_bound", dim >= spans[m - 1] + ck.bias)
                 if dim > spans[m - 1]:
                     strict += 1
                 for w, d in profile.dims.items():
                     cap = max(0, model_counts[m].get(w, 0) - 1)
-                    _check_true(failures,
-                                {**inputs, "check": "weight_level_bound", "weight": w},
-                                d <= cap)
-                _check(failures, {**inputs, "check": "rank_nullity"},
-                       sum(profile.dims.values()), profile.kernel_dim)
-                checked += 1
-    _check_true(failures, {"check": "some_perturbation_strict"}, strict >= 1)
-    checked += 1
-    return checked, failures
+                    ck.true("weight_level_bound", d <= cap, weight=w)
+                ck.equal("rank_nullity", sum(profile.dims.values()), profile.kernel_dim)
+    ck.case()
+    ck.true("some_perturbation_strict", strict >= 1)
 
 
-def _suite_maximality_transfer(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_maximality_transfer(cfg: SweepConfig, ck: _Checks) -> None:
     # A system that attains the minimal degree-2 dimension keeps attaining it
     # in every higher degree (when degree-2 moves connect everything), and
     # its relations grow one degree at a time.
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     bases = []
     for n in range(3, 6):
         bases.extend([ap_sequence(n, 1), near_ap_high(n, 1), near_ap_low(n, 1)])
@@ -370,81 +329,60 @@ def _suite_maximality_transfer(cfg: SweepConfig) -> tuple[int, list[dict]]:
             "reparametrized": reparametrized_system(seq, tail=1, seed=_derived_seed(cfg.seed, seq, idx)),
         }
         for label, system in systems.items():
-            inputs = {"seq": list(seq.entries), "system": label}
+            entries = list(seq.entries)
             # A returned report implies 2-maximality, the first hypothesis
             # it checks; the separate rank is needed only on failure.
             try:
                 report = check_ideal_propagation(system, 2, t_max=5)
             except (HypothesisFailed, PropagationFailed) as exc:
-                _check_true(failures, {**inputs, "check": "two_maximal"},
-                            is_m_maximal(system, 2))
-                _fail(failures, {**inputs, "check": "propagation"}, "report", repr(exc))
-                checked += 1
+                ck.case(seq=entries, system=label)
+                ck.true("two_maximal", is_m_maximal(system, 2))
+                ck.fail("propagation", "report", repr(exc))
                 continue
             for t in range(2, 6):
-                _check(failures, {**inputs, "check": "t_maximal", "t": t},
-                       span(seq, t) + bias, report.quotient_dims[t])
-                _check_true(failures, {**inputs, "check": "kernel_bound", "t": t},
-                            report.kernel_dims[t] <= comb(t + seq.n, seq.n) - (t * seq.n + 1))
-                checked += 1
+                ck.case(seq=entries, system=label)
+                ck.equal("t_maximal", span(seq, t) + ck.bias, report.quotient_dims[t], t=t)
+                ck.true("kernel_bound",
+                        report.kernel_dims[t] <= comb(t + seq.n, seq.n) - (t * seq.n + 1), t=t)
             for t in range(2, 5):
-                _check(failures, {**inputs, "check": "one_step", "t": t},
-                       True, report.one_step_generates[t])
-                checked += 1
-    return checked, failures
+                ck.case(seq=entries, system=label)
+                ck.equal("one_step", True, report.one_step_generates[t], t=t)
 
 
-def _suite_bound_instantiation(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_bound_instantiation(cfg: SweepConfig, ck: _Checks) -> None:
     # Monomial jets meet the closed-form hypersurface counts exactly:
     # progressions the maximal count, the jump sequence the next one.
     m_lo, m_hi = cfg.m_range or (2, 4)
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for n in range(2, 6):
         system = monomial_system(ap_sequence(n, 1))
         for m in range(m_lo, m_hi + 1):
-            total = comb(m + n, n)
-            got = total - sym_power_dim(system, m)
-            inputs = {"n": n, "m": m, "family": "progression"}
-            _check(failures, {**inputs, "check": "max_count"},
-                   bounds_mod.max_hypersurfaces(n, m) + bias, got)
-            checked += 1
+            got = comb(m + n, n) - sym_power_dim(system, m)
+            ck.case(n=n, m=m, family="progression")
+            ck.equal("max_count", bounds_mod.max_hypersurfaces(n, m) + ck.bias, got)
     for n in range(3, 6):
         system = monomial_system(near_ap_high(n, 1))
         for m in range(m_lo, m_hi + 1):
-            total = comb(m + n, n)
-            got = total - sym_power_dim(system, m)
-            inputs = {"n": n, "m": m, "family": "jump"}
-            _check(failures, {**inputs, "check": "next_count"},
-                   bounds_mod.next_hypersurface_bound(n, m), got)
-            _check_true(failures, {**inputs, "check": "strictly_below_max"},
-                        got < bounds_mod.max_hypersurfaces(n, m))
-            checked += 1
-    return checked, failures
+            got = comb(m + n, n) - sym_power_dim(system, m)
+            ck.case(n=n, m=m, family="jump")
+            ck.equal("next_count", bounds_mod.next_hypersurface_bound(n, m), got)
+            ck.true("strictly_below_max", got < bounds_mod.max_hypersurfaces(n, m))
 
 
-def _suite_elliptic_inflections(cfg: SweepConfig) -> tuple[int, list[dict]]:
+def _suite_elliptic_inflections(cfg: SweepConfig, ck: _Checks) -> None:
     # The inflection budget of a degree-(n+1) genus-1 system is (n+1)^2, and
     # the jump sequence accounts for it one unit per point.
-    bias = 1 if cfg.falsify_oracle else 0
-    checked = 0
-    failures: list[dict] = []
     for n in range(2, 11):
         seq = near_ap_high(n, 1)
         budget = bounds_mod.pluecker_budget(n, n + 1, 1)
-        inputs = {"n": n}
-        _check(failures, {**inputs, "check": "budget"}, (n + 1) ** 2 + bias, budget)
-        _check(failures, {**inputs, "check": "unit_weight"}, 1, inflection_weight(seq))
-        _check(failures, {**inputs, "check": "pair_span"}, 2 * n + 2, span(seq, 2))
-        _check_true(failures, {**inputs, "check": "budget_split"},
-                    bounds_mod.check_weight_budget(n, n + 1, 1, [1] * (n + 1) ** 2))
-        _check_true(failures, {**inputs, "check": "budget_positive"}, budget > 0)
-        checked += 1
-    return checked, failures
+        ck.case(n=n)
+        ck.equal("budget", (n + 1) ** 2 + ck.bias, budget)
+        ck.equal("unit_weight", 1, inflection_weight(seq))
+        ck.equal("pair_span", 2 * n + 2, span(seq, 2))
+        ck.true("budget_split", bounds_mod.check_weight_budget(n, n + 1, 1, [1] * (n + 1) ** 2))
+        ck.true("budget_positive", budget > 0)
 
 
-_SUITES: dict[str, Callable[[SweepConfig], tuple[int, list[dict]]]] = {
+_SUITES: dict[str, Callable[[SweepConfig, _Checks], None]] = {
     "prop33": _suite_extremal_spans,
     "cor43": _suite_span_invariance,
     "prop41": _suite_dimension_agreement,
@@ -467,8 +405,9 @@ def run_suite(suite_id: str, cfg: Optional[SweepConfig] = None) -> SuiteReport:
     if runner is None:
         raise UnknownSuite(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     start = time.perf_counter()
-    checked, failures = runner(cfg)
-    report = SuiteReport(suite=suite_id, checked=checked, failures=failures,
+    ck = _Checks(cfg.falsify_oracle)
+    runner(cfg, ck)
+    report = SuiteReport(suite=suite_id, checked=ck.cases, failures=ck.failures,
                          seconds=time.perf_counter() - start)
     if cfg.report_path:
         with open(cfg.report_path, "w", encoding="utf-8") as fh:

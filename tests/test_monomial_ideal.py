@@ -31,7 +31,7 @@ from spanlab import (
     weight,
     weight_class,
 )
-from spanlab.monomial_ideal import _partition
+from spanlab.monomial_ideal import _partition, _weight_classes
 
 
 class TestBasics:
@@ -277,7 +277,24 @@ class TestPartitionOracle:
     @settings(max_examples=60, deadline=None)
     @given(small_sequences(), st.integers(1, 6), st.sampled_from([2, 3]))
     def test_matches_pairwise_union_find(self, seq, m, t):
-        assert _partition(seq, m, t) == pairwise_partition(seq, m, t)
+        assert _partition(_weight_classes(seq, m), t) == pairwise_partition(seq, m, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_sequences(), st.integers(0, 5), st.sampled_from([2, 3]))
+    def test_weight_table_matches_brute_force(self, seq, m, t):
+        monos = list(monomials_of_degree(m, len(seq)))
+        weights = [weight(xi, seq) for xi in monos]
+        table = _weight_classes(seq, m)
+        assert list(table) == list(dict.fromkeys(weights))
+        assert table == {w: [xi for xi, v in zip(monos, weights) if v == w] for w in table}
+        counts = bigraded_dims(seq, m).weight_counts
+        assert list(counts.items()) == [(w, len(members)) for w, members in table.items()]
+        for w, members in table.items():
+            assert weight_class(seq, m, w) == members
+        for xi in monos:
+            assert t_neighbors(xi, seq, t) == [
+                eta for eta in monos
+                if eta != xi and weight(eta, seq) == weight(xi, seq) and exchange_degree(xi, eta) <= t]
 
     @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 1, 2, 5),
                                          (0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 7)])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,43 @@ from spanlab.cli import main
 
 
 SMALL = SweepConfig(max_entry=5, random_trials=30)
+
+# Per suite: config, cases checked, and under falsify_oracle the failure count
+# and first failure, recorded from the hand-counted suites before the shared
+# check recorder.  prop44_45 checks 12401 cases at its defaults, too many for
+# tier-1, so it is pinned at a small config.
+PINNED = {
+    "prop33": (SweepConfig(), 9720, 24, {
+        "expected": "True", "got": "False",
+        "input": {"check": "lower_bound", "m": 2, "seq": [0, 1]}}),
+    "cor43": (SweepConfig(), 10000, 10000, {
+        "expected": "63", "got": "62",
+        "input": {"c": 5, "check": "translate", "d": 3, "m": 4, "seq": [1, 8, 13, 24, 28],
+                  "trial": 0}}),
+    "prop41": (SweepConfig(), 715, 715, {
+        "expected": "3", "got": "2",
+        "input": {"check": "sumset_vs_tally", "m": 1, "seq": [0, 1]}}),
+    "prop49_410": (SweepConfig(), 597, 19738, {
+        "expected": "3", "got": "2",
+        "input": {"check": "line_value", "m": 1, "m_cap": 4, "seq": [0, 1]}}),
+    "prop51": (SweepConfig(), 110, 96, {
+        "expected": "8", "got": "7",
+        "input": {"check": "connected", "m": 3, "seq": [0, 1, 2]}}),
+    "rem53": (SweepConfig(), 8, 1, {
+        "expected": "1", "got": "0",
+        "input": {"check": "no_quadric_relations", "seq": [0, 1, 3]}}),
+    "prop44_45": (SweepConfig(max_entry=4, random_trials=5), 101, 40, {
+        "expected": "True", "got": "False",
+        "input": {"check": "span_lower_bound", "m": 2, "seq": [0, 1], "trial": 0}}),
+    "prop46_47": (SweepConfig(), 126, 72, {
+        "expected": "8", "got": "7",
+        "input": {"check": "t_maximal", "seq": [0, 1, 2, 3], "system": "monomial", "t": 2}}),
+    "thm14_15": (SweepConfig(), 21, 12, {
+        "expected": "2", "got": "1",
+        "input": {"check": "max_count", "family": "progression", "m": 2, "n": 2}}),
+    "prop37": (SweepConfig(), 9, 9, {
+        "expected": "10", "got": "9", "input": {"check": "budget", "n": 2}}),
+}
 
 
 class TestSuites:
@@ -43,6 +81,21 @@ class TestSuites:
         report = run_suite(suite_id, cfg)
         assert not report.passed
         assert report.failures[0]["expected"] != report.failures[0]["got"]
+
+    @pytest.mark.parametrize("suite_id", SUITE_IDS)
+    def test_checked_is_pinned(self, suite_id):
+        cfg, checked, _, _ = PINNED[suite_id]
+        report = run_suite(suite_id, cfg)
+        assert report.passed
+        assert report.checked == checked
+
+    @pytest.mark.parametrize("suite_id", SUITE_IDS)
+    def test_falsified_failures_are_pinned(self, suite_id):
+        cfg, checked, count, first = PINNED[suite_id]
+        report = run_suite(suite_id, replace(cfg, falsify_oracle=True))
+        assert report.checked == checked
+        assert len(report.failures) == count
+        assert report.failures[0] == first
 
     def test_report_written(self, tmp_path):
         path = tmp_path / "report.json"
@@ -176,6 +229,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "cor43", "--trials", "0"),
+        ("verify", "--suite", "cor43", "--trials", "-3"),
+        ("verify", "--suite", "prop33", "--max-entry", "0"),
+        ("verify", "--suite", "prop49_410", "--mcap", "0"),
+        ("verify", "--suite", "prop49_410", "--mcap", "two"),
+    ])
+    def test_non_positive_sweep_size_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
     def test_inputs_echo_raw_text(self, capsys):
         code, out = run_cli(capsys, "semigroup", "--gens", "5, 3", "--json")
         envelope = json.loads(out)
@@ -223,6 +289,15 @@ class TestCli:
 
     def test_missing_sections_file(self, capsys):
         assert main(["jets", "rank", "--sections-file", "/nonexistent.json", "--m", "2"]) == 1
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]"])
+    def test_malformed_sections_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "expected a JSON array of coefficient arrays" in err
 
 
 def test_import_does_not_load_numpy():
