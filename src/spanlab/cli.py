@@ -61,16 +61,21 @@ def _int_list(text: str) -> str:
     return text
 
 
-def _positive_int(text: str) -> int:
-    # argparse type for sweep sizes: zero or less is a usage error (exit 2),
-    # not a silent fall-back to the suite default.
-    try:
-        value = int(text)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int):
+    # argparse type for sweep sizes and degree caps: a value below ``low`` is
+    # a usage error (exit 2), not a silent fall-back to a default or a
+    # domain error from the library.
+    wanted = "a positive integer" if low == 1 else f"an integer >= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+    return parse
 
 
 def _load_sections(path: str) -> JetSystem:
@@ -178,18 +183,13 @@ def _cmd_ideal_dims(args):
 def _cmd_ideal_gendeg(args):
     seq = from_text(args.seq)
     scan = generation_scan(seq, args.mcap, args.t)
-    g = scan.degree
-    per_degree = {str(m): t == 2 for m, t in scan.orders.items()}
     result = {
         "seq": list(seq.entries),
         "m_cap": args.mcap,
-        "generation_degree": g,
-        "quadric_generated_by_degree": per_degree,
+        "generation_degree": scan.degree,
+        "quadric_generated_by_degree": {str(m): flag for m, flag in scan.quadric.items()},
     }
-    if g is None:
-        lines = [f"not generated up to m_cap={args.mcap}"]
-    else:
-        lines = [f"generated in degrees <= {g} (scanned to {args.mcap})"]
+    lines = [f"generated in degrees <= {scan.degree} (scanned to {args.mcap})"]
     return {"seq": args.seq, "mcap": args.mcap, "t": args.t}, result, lines
 
 
@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="eventual span line and stabilization threshold")
     p.add_argument("--seq", type=_int_list, required=True)
-    p.add_argument("--mcap", type=int, default=None)
+    p.add_argument("--mcap", type=_int_at_least(2), default=None)
     add_json(p)
     p.set_defaults(handler=_cmd_hilbert)
 
@@ -368,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_ideal_dims)
     q = ideal_sub.add_parser("gendeg", help="smallest generating degree observed up to a cap")
     q.add_argument("--seq", type=_int_list, required=True)
-    q.add_argument("--mcap", type=int, default=8)
-    q.add_argument("--t", type=int, default=2, help="starting neighbor order")
+    q.add_argument("--mcap", type=_int_at_least(2), default=8)
+    q.add_argument("--t", type=_int_at_least(2), default=2, help="starting neighbor order")
     add_json(q)
     q.set_defaults(handler=_cmd_ideal_gendeg)
 
@@ -416,9 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_IDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--max-entry", type=_positive_int, default=None)
-    p.add_argument("--mcap", type=_positive_int, default=None)
+    p.add_argument("--trials", type=_int_at_least(1), default=None)
+    p.add_argument("--max-entry", type=_int_at_least(1), default=None)
+    p.add_argument("--mcap", type=_int_at_least(2), default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--falsify-oracle", action="store_true",
                    help="self-test: corrupt one expected value per suite")

@@ -48,7 +48,7 @@ class PreconditionViolated(SpanlabError):
 
 
 class TruncationMismatch(SpanlabError):
-    """Series arithmetic requires equal truncation orders."""
+    """A section carries coefficients beyond its declared truncation."""
 
 
 class DegenerateWithinTruncation(SpanlabError):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -29,7 +30,7 @@ from .errors import (
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .monomial_ideal import equivalence_report, weight
+from .monomial_ideal import generation_scan
 from .sequences import VanishingSequence
 from .span import span
 
@@ -56,47 +57,12 @@ class TruncatedSeries:
     def truncation(self) -> int:
         return len(self.coefficients)
 
-    @classmethod
-    def from_coefficients(cls, values: Sequence, truncation: int) -> "TruncatedSeries":
-        coeffs = [_as_fraction(v) for v in values[:truncation]]
-        coeffs.extend([Fraction(0)] * (truncation - len(coeffs)))
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def t_power(cls, k: int, truncation: int) -> "TruncatedSeries":
-        coeffs = [Fraction(0)] * truncation
-        if 0 <= k < truncation:
-            coeffs[k] = Fraction(1)
-        return cls(tuple(coeffs))
-
     def order(self) -> Optional[int]:
         """Index of the first nonzero coefficient; None when zero mod t^N."""
         for i, c in enumerate(self.coefficients):
             if c:
                 return i
         return None
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.truncation != other.truncation:
-            raise TruncationMismatch(
-                f"truncations differ: {self.truncation} vs {other.truncation}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        product = _mul(self.coefficients, other.coefficients, self.truncation)
-        return TruncatedSeries(tuple(Fraction(c) for c in product))
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = _as_fraction(c)
-        return TruncatedSeries(tuple(c * a for a in self.coefficients))
 
     def is_zero(self) -> bool:
         return self.order() is None
@@ -363,7 +329,7 @@ def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
     profiles = []
     for n_coeffs in _working_truncations(system, m, seq[-1]):
         monomials, rows = _product_rows(system, m, n_coeffs)
-        weights = [weight(xi, seq) for xi in monomials]
+        weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
         order = sorted(range(len(rows)), key=lambda i: (-weights[i], monomials[i]))
         ech = _linalg.IncrementalRank()
         dims: dict[int, int] = {}
@@ -402,7 +368,8 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
 
     Hypotheses (raise ``HypothesisFailed`` when absent): the system is
     m-maximal, and for every degree d in (m; t_max] the degree-d relations of
-    the adapted sequence are generated by its degree-m relations.  Under them,
+    the adapted sequence are generated by its degree-m relations, i.e. its
+    relation ideal has no minimal generator in (m; t_max].  Under them,
     the system must be t-maximal for every t in [m; t_max] and its degree-t
     relation space must generate the degree-(t+1) one for t in [m; t_max);
     a violation raises ``PropagationFailed`` (and would falsify the theory,
@@ -414,8 +381,8 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
     quotient_dims = {m: sym_power_dim(system, m)}
     if quotient_dims[m] != span(seq, m):
         raise HypothesisFailed(f"system is not {m}-maximal")
-    for d in range(m + 1, t_max + 1):
-        if not equivalence_report(seq, d, m).generated:
+    for d in generation_scan(seq, t_max, m).generator_degrees:
+        if d > m:
             raise HypothesisFailed(
                 f"degree-{d} relations of {seq.entries} are not generated in degree {m}")
 

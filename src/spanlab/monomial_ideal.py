@@ -6,7 +6,8 @@ space of the associated monomial curve, and whether low-degree relations
 generate everything is decided by a game: a move exchanges a small bunch of
 "pieces" (a sub-monomial) for an equal-weight bunch, and two monomials are
 connected exactly when their difference lies in the ideal generated by the
-relations of the move's degree.
+relations of the move's degree.  A degree needs new generators exactly when
+some equal-weight class is not joined by monomials sharing a variable.
 """
 
 from __future__ import annotations
@@ -205,52 +206,83 @@ def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceRep
     )
 
 
+def _split(classes: dict[int, list[Monomial]]) -> bool:
+    # Whether some class of a _weight_classes table is not joined by members
+    # sharing a variable: supports merge, as variable bitmasks, into at most
+    # n+1 disjoint blocks, one iff joined.  O(|class| * n), no pair tests.
+    for members in classes.values():
+        blocks: list[int] = []
+        for xi in members:
+            mask = 0
+            for i, k in enumerate(xi):
+                if k:
+                    mask |= 1 << i
+            rest = []
+            for block in blocks:
+                if block & mask:
+                    mask |= block
+                else:
+                    rest.append(block)
+            rest.append(mask)
+            blocks = rest
+        if len(blocks) > 1:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class GenerationScan:
-    """Smallest connecting move degree of every degree up to a cap.
+    """Degrees of the minimal generators of the relation ideal, up to a cap.
 
-    ``orders[m]`` is the smallest t >= 2 whose moves connect every degree-m
-    weight class, for m in [3; m_cap]; t = m always does.  Connectivity only
-    grows with t, so degree m is generated by degree-g steps iff
-    ``orders[m] <= g``.
+    Two degree-m monomials of one weight that share a variable x_i differ by
+    x_i times a degree-(m-1) relation, so degree m carries a minimal
+    generator exactly when some degree-m weight class is not joined by
+    shared variables.  ``generator_degrees`` lists those m in [3; m_cap];
+    ``quadric[m]`` tells whether the quadrics generate degree m, i.e.
+    whether two-piece moves connect every degree-m weight class.
     """
 
     m_cap: int
     t_start: int
-    orders: dict[int, int]
+    generator_degrees: tuple[int, ...]
+    quadric: dict[int, bool]
 
     @property
-    def degree(self) -> Optional[int]:
+    def degree(self) -> int:
         """Smallest g >= t_start with every degree in (g; m_cap] generated by
-        degree-g steps."""
-        for g in range(self.t_start, self.m_cap + 1):
-            if all(self.orders[m] <= g for m in range(g + 1, self.m_cap + 1)):
-                return g
-        return None
+        degree-g steps: no minimal generator sits in (g; m_cap]."""
+        return max((self.t_start, *self.generator_degrees))
 
 
 def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
-    """Smallest connecting move degree of each degree in [3; m_cap], with
-    one weight-class table per degree and one partition per tried t < m
-    (t = m needs none)."""
+    """Minimal-generator degrees and quadric flags of each degree in
+    [3; m_cap], with one weight-class table per degree.
+
+    A two-piece partition runs only where the flag does not follow from
+    degree m-1: a generator degree is not generated by quadrics, and
+    (I_{<=2})_m = sum x_i (I_{<=2})_{m-1} = I_m when degree m-1 is generated
+    by quadrics and degree m carries no generator.
+    """
     if not (m_cap >= t_start >= 2):
         raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
-    orders = {}
+    generator_degrees = []
+    quadric = {}
+    by_quadrics = True  # whether degree m-1 is generated by quadrics
     for m in range(3, m_cap + 1):
         classes = _weight_classes(seq, m)
-        t = 2
-        while t < m and any(len(comps) > 1 for _, comps in _partition(classes, t)):
-            t += 1
-        orders[m] = t
-    return GenerationScan(m_cap, t_start, orders)
+        if _split(classes):
+            generator_degrees.append(m)
+            by_quadrics = False
+        elif not by_quadrics:
+            by_quadrics = all(len(comps) == 1 for _, comps in _partition(classes, 2))
+        quadric[m] = by_quadrics
+    return GenerationScan(m_cap, t_start, tuple(generator_degrees), quadric)
 
 
-def generation_degree(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> Optional[int]:
-    """Smallest g with every degree in (g; m_cap] generated by degree-g steps.
-
-    Returns None when even g = m_cap fails, i.e. generation was not observed
-    up to the cap; degrees beyond m_cap are never extrapolated.
-    """
+def generation_degree(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> int:
+    """Smallest g >= t_start with every degree in (g; m_cap] generated by
+    degree-g steps; g = m_cap always qualifies.  Degrees beyond m_cap are
+    never extrapolated."""
     return generation_scan(seq, m_cap, t_start).degree
 
 

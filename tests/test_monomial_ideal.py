@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanlab import (
+    HypothesisFailed,
     LengthMismatch,
     NonEquivalent,
     PreconditionViolated,
@@ -12,12 +13,14 @@ from spanlab import (
     ap_sequence,
     apply_move,
     bigraded_dims,
+    check_ideal_propagation,
     degree,
     equivalence_report,
     exchange_degree,
     generation_degree,
     generation_scan,
     interlaced,
+    monomial_system,
     monomials_of_degree,
     move_trace,
     near_ap_high,
@@ -306,11 +309,28 @@ class TestPartitionOracle:
         expected = brute_generation_degree(seq, m_cap, t_start)
         assert generation_degree(seq, m_cap, t_start) == expected
         assert scan.degree == expected
-        assert {m: t == 2 for m, t in scan.orders.items()} == {
-            m: brute_generated(seq, m, 2) for m in range(3, m_cap + 1)}
-        for m, t in scan.orders.items():
-            assert brute_generated(seq, m, t)
-            assert t == 2 or not brute_generated(seq, m, t - 1)
+        degrees = range(3, m_cap + 1)
+        assert scan.quadric == {m: brute_generated(seq, m, 2) for m in degrees}
+        assert list(scan.generator_degrees) == [
+            m for m in degrees if not brute_generated(seq, m, m - 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_sequences(), st.integers(3, 6), st.sampled_from([2, 3]))
+    def test_generator_degrees_match_brute_force(self, seq, m_cap, m):
+        scan = generation_scan(seq, m_cap)
+        degrees = range(3, m_cap + 1)
+        assert list(scan.generator_degrees) == [
+            d for d in degrees if not brute_generated(seq, d, d - 1)]
+        assert scan.quadric == {d: brute_generated(seq, d, 2) for d in degrees}
+        # The propagation hypothesis fails at the first degree in (m; m_cap]
+        # that the degree-m moves leave disconnected; the monomial model is
+        # always m-maximal, so nothing else can raise it.
+        first = next((d for d in range(m + 1, m_cap + 1) if not brute_generated(seq, d, m)), None)
+        if first is None:
+            check_ideal_propagation(monomial_system(seq), m, m_cap)
+        else:
+            with pytest.raises(HypothesisFailed, match=f"degree-{first} relations"):
+                check_ideal_propagation(monomial_system(seq), m, m_cap)
 
 
 # The search's expansion order fixes which shortest trace is returned; these

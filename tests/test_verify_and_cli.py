@@ -233,14 +233,29 @@ class TestCli:
         ("verify", "--suite", "cor43", "--trials", "0"),
         ("verify", "--suite", "cor43", "--trials", "-3"),
         ("verify", "--suite", "prop33", "--max-entry", "0"),
-        ("verify", "--suite", "prop49_410", "--mcap", "0"),
-        ("verify", "--suite", "prop49_410", "--mcap", "two"),
     ])
     def test_non_positive_sweep_size_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "prop49_410", "--mcap", "0"),
+        ("verify", "--suite", "prop49_410", "--mcap", "two"),
+        ("verify", "--suite", "prop49_410", "--mcap", "1"),
+        ("hilbert", "--seq", "0,1,3", "--mcap", "1"),
+        ("hilbert", "--seq", "0,1,3", "--mcap", "0"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "0"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "1"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "0"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "1"),
+    ])
+    def test_degree_cap_below_two_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "expected an integer >= 2" in capsys.readouterr().err
 
     def test_inputs_echo_raw_text(self, capsys):
         code, out = run_cli(capsys, "semigroup", "--gens", "5, 3", "--json")
@@ -251,7 +266,6 @@ class TestCli:
 
     def test_precondition_violations_are_domain_errors(self, capsys):
         assert run_cli(capsys, "span", "--seq", "0,1,3", "--m", "0")[0] == 1
-        assert run_cli(capsys, "hilbert", "--seq", "0,1,3", "--mcap", "1")[0] == 1
         assert run_cli(capsys, "bounds", "hypersurfaces", "--n", "0", "--m", "2")[0] == 1
 
     def test_oversized_semigroup_fails_fast(self, capsys):
