@@ -10,6 +10,7 @@ verification sweeps tying it all together.
 from .errors import (
     DegenerateWithinTruncation,
     EmptyGenerators,
+    EnumerationTooLarge,
     GcdNotOne,
     HypothesisFailed,
     LengthMismatch,

@@ -27,7 +27,6 @@ from .jets import (
     JetSystem,
     degree_genus_estimate,
     filtration_profile,
-    is_m_maximal,
     sym_power_dim,
 )
 from .monomial_ideal import (
@@ -38,7 +37,7 @@ from .monomial_ideal import (
 )
 from .semigroup import curve_invariants, hilbert_polynomial, semigroup_of, stabilization_threshold
 from .sequences import from_text
-from .span import classify, power_sumset
+from .span import classify, power_sumset, span
 from .verify import SUITE_IDS, SweepConfig, run_all, run_suite
 
 
@@ -181,6 +180,9 @@ def _cmd_ideal_dims(args):
 
 
 def _cmd_ideal_gendeg(args):
+    if args.t > args.mcap:
+        args.parser.error(f"argument --t: expected an integer >= 2 and at most --mcap ({args.mcap}), "
+                          f"got {args.t}")
     seq = from_text(args.seq)
     scan = generation_scan(seq, args.mcap, args.t)
     result = {
@@ -238,7 +240,7 @@ def _cmd_jets_maximal(args):
     system = _load_sections(args.sections_file)
     seq = system.adapted_orders
     dim = sym_power_dim(system, args.m)
-    target = classify(seq, args.m).span
+    target = span(seq, args.m)
     result = {
         "m": args.m,
         "adapted": list(seq.entries),
@@ -371,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mcap", type=_int_at_least(2), default=8)
     q.add_argument("--t", type=_int_at_least(2), default=2, help="starting neighbor order")
     add_json(q)
-    q.set_defaults(handler=_cmd_ideal_gendeg)
+    q.set_defaults(handler=_cmd_ideal_gendeg, parser=q)
 
     p = sub.add_parser("game", help="the piece-moving game")
     game_sub = p.add_subparsers(dest="subcommand", required=True)

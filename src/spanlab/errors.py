@@ -39,6 +39,11 @@ class SumsetTooLarge(SpanlabError):
     keeps time and memory bounded."""
 
 
+class EnumerationTooLarge(SpanlabError):
+    """Listing the degree-m monomials would write more entries than the
+    fixed limit on the enumeration that keeps time and memory bounded."""
+
+
 class LengthMismatch(SpanlabError):
     """Exponent vector length must equal the sequence length."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -30,7 +30,7 @@ from .errors import (
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .monomial_ideal import generation_scan
+from .monomial_ideal import _grow, generation_scan
 from .sequences import VanishingSequence
 from .span import span
 
@@ -238,35 +238,16 @@ def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence,
 def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Degree-m products of the sections as integer coefficient rows.
 
-    Row order matches ``monomials_of_degree(m, n+1)``.  Computed by a DFS over
-    exponent tuples so each row costs one truncated convolution.
+    Monomials and rows come from the degree-by-degree growth that lists the
+    weight classes, in ``monomials_of_degree(m, n+1)`` order: each row is
+    its parent's row times one section, one truncated convolution.
     """
     if system.truncation is not None and n_coeffs > system.truncation:
         raise TruncationTooSmall(
             f"system stores coefficients to t^{system.truncation}, need t^{n_coeffs}")
     secs = [sec[:n_coeffs] for sec in system.integer_sections]
-    nvars = len(secs)
-    monomials: list[tuple[int, ...]] = []
-    rows: list[list[int]] = []
-
-    def rec(var: int, remaining: int, prefix: tuple[int, ...], prod: list[int]):
-        if var == nvars - 1:
-            final = prod
-            for _ in range(remaining):
-                final = _mul(final, secs[var], n_coeffs)
-            monomials.append(prefix + (remaining,))
-            rows.append(final)
-            return
-        current = prod
-        for k in range(remaining + 1):
-            rec(var + 1, remaining - k, prefix + (k,), current)
-            if k < remaining:
-                current = _mul(current, secs[var], n_coeffs)
-
-    one = [0] * n_coeffs
-    one[0] = 1
-    rec(0, m, (), one)
-    return monomials, rows
+    one = [1] + [0] * (n_coeffs - 1)
+    return _grow(m, secs, partial(_mul, cap=n_coeffs), one, n_coeffs)
 
 
 def _working_truncations(system: JetSystem, m: int, top_order: int) -> list[int]:

@@ -14,24 +14,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import mul, sub
-from typing import Iterator, Optional, Union
+from operator import add, sub
+from typing import Callable, Optional, Sequence, Union
 
-from .errors import LengthMismatch, PreconditionViolated
+from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated
 from .sequences import VanishingSequence
 
 Monomial = tuple[int, ...]
 Move = tuple[tuple[int, int], tuple[int, int]]
 
+# Fail-fast limit on the integers the enumeration writes: each of the
+# C(m+n+1, n+1) monomials of degree <= m in n+1 variables is written once, as
+# n+1 exponents and a value of ``width`` entries.  That bounds its time, and
+# its memory, which holds one degree and the next.  The largest enumeration of
+# any suite, demo or benchmark query writes 30,954 entries.
+MAX_ENUMERATED_ENTRIES = 2_000_000
 
-def monomials_of_degree(m: int, nvars: int) -> Iterator[Monomial]:
+
+def _grow(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> tuple[list[Monomial], list]:
+    # The degree-m monomials in len(steps) variables, in ascending
+    # lexicographic order, each with one value: ``start`` at the constant
+    # monomial, op(value, steps[i]) for each further factor x_i (by default
+    # the weight under entries ``steps``).  Degree m grows from degree m-1
+    # by raising only variables at or after the last one raised: each
+    # monomial is reached once, in descending order, reversed at the end.
+    if m < 0:
+        raise ValueError(f"degree must be >= 0, got {m}")
+    nvars = len(steps)
+    entries = comb(m + nvars, nvars) * (nvars + width)
+    if entries > MAX_ENUMERATED_ENTRIES:
+        raise EnumerationTooLarge(
+            f"{entries} entries for the degree-{m} monomials in {nvars} variables "
+            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
+    level = [((0,) * nvars, 0, start)]
+    for _ in range(m):
+        level = [(xi[:i] + (xi[i] + 1,) + xi[i + 1:], i, op(value, steps[i]))
+                 for xi, last, value in level for i in range(last, nvars)]
+    level.reverse()
+    return [xi for xi, _, _ in level], [value for _, _, value in level]
+
+
+def monomials_of_degree(m: int, nvars: int) -> list[Monomial]:
     """All exponent tuples of total degree m, in ascending lexicographic order."""
-    if nvars == 1:
-        yield (m,)
-        return
-    for k in range(m + 1):
-        for rest in monomials_of_degree(m - k, nvars - 1):
-            yield (k,) + rest
+    return _grow(m, (0,) * nvars)[0]
 
 
 def degree(xi: Monomial) -> int:
@@ -95,13 +120,7 @@ class BigradedDims:
 
 def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
     """Tally the weights of all degree-m monomials in n+1 variables."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    entries = seq.entries
-    counts: dict[int, int] = {}
-    for xi in monomials_of_degree(m, len(entries)):
-        w = sum(map(mul, entries, xi))
-        counts[w] = counts.get(w, 0) + 1
+    counts = {w: len(members) for w, members in _weight_classes(seq, m).items()}
     assert sum(counts.values()) == comb(m + seq.n, seq.n)
     return BigradedDims(m, counts)
 
@@ -109,10 +128,9 @@ def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
 def _weight_classes(seq: VanishingSequence, m: int) -> dict[int, list[Monomial]]:
     # Degree-m monomials grouped by weight, in lexicographic order inside
     # each class.
-    entries = seq.entries
     classes: dict[int, list[Monomial]] = {}
-    for xi in monomials_of_degree(m, len(entries)):
-        classes.setdefault(sum(map(mul, entries, xi)), []).append(xi)
+    for xi, w in zip(*_grow(m, seq.entries)):
+        classes.setdefault(w, []).append(xi)
     return classes
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import SumsetTooLarge
 from .sequences import VanishingSequence
@@ -53,32 +53,37 @@ class SpanClassification:
     step: Optional[int] = None
 
 
-def _check_bits(seq: VanishingSequence, m: int) -> None:
-    if m * seq[-1] > MAX_SUMSET_BITS:
+def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:
+    # Characteristic bitmasks of v_1, ..., v_m; iterated sumset
+    # v_{j+1} = v_j + entries.  Bit k set <=> k is a sum of exactly j entries.
+    # OR-ing shifted copies is the sorted-merge dedup in disguise and is exact
+    # on Python ints.  The limit is checked before the first shift.
+    entries = seq.entries
+    if m * entries[-1] > MAX_SUMSET_BITS:
         raise SumsetTooLarge(
-            f"{m}-fold sums up to {m * seq[-1]} exceed the limit of {MAX_SUMSET_BITS}")
+            f"{m}-fold sums up to {m * entries[-1]} exceed the limit of {MAX_SUMSET_BITS}")
+    mask = 0
+    for a in entries:
+        mask |= 1 << a
+    yield mask
+    for _ in range(m - 1):
+        step = 0
+        for a in entries:
+            step |= mask << a
+        mask = step
+        yield mask
 
 
 def _sumset_bits(seq: VanishingSequence, m: int) -> int:
-    # Characteristic bitmask of v_m; iterated sumset v_{j+1} = v_j + entries.
-    # Bit k set <=> k is a sum of exactly j entries.  OR-ing shifted copies
-    # is the sorted-merge dedup in disguise and is exact on Python ints.
-    _check_bits(seq, m)
-    mask = 0
-    for a in seq:
-        mask |= 1 << a
-    for _ in range(m - 1):
-        step = 0
-        for a in seq:
-            step |= mask << a
-        mask = step
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    for mask in _sumset_masks(seq, m):
+        pass
     return mask
 
 
 def power_sumset(seq: VanishingSequence, m: int) -> SumsetTable:
     """All sums of exactly ``m`` entries of the sequence, with repetition."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     mask = _sumset_bits(seq, m)
     values = []
     k = 0
@@ -92,8 +97,6 @@ def power_sumset(seq: VanishingSequence, m: int) -> SumsetTable:
 
 def span(seq: VanishingSequence, m: int) -> int:
     """Cardinality of the m-fold sumset of the sequence."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     return _sumset_bits(seq, m).bit_count()
 
 
@@ -101,18 +104,7 @@ def span_sequence(seq: VanishingSequence, m_max: int) -> list[int]:
     """Spans for m = 1, ..., m_max computed in one sumset iteration."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    _check_bits(seq, m_max)
-    mask = 0
-    for a in seq:
-        mask |= 1 << a
-    out = [mask.bit_count()]
-    for _ in range(m_max - 1):
-        step = 0
-        for a in seq:
-            step |= mask << a
-        mask = step
-        out.append(mask.bit_count())
-    return out
+    return [mask.bit_count() for mask in _sumset_masks(seq, m_max)]
 
 
 def chain_values(seq: VanishingSequence, m: int) -> list[int]:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from spanlab import (
     DegenerateWithinTruncation,
+    EnumerationTooLarge,
     HypothesisFailed,
     JetSystem,
     NotLinearOnRange,
@@ -20,6 +21,7 @@ from spanlab import (
     filtration_profile,
     is_m_maximal,
     monomial_system,
+    monomials_of_degree,
     near_ap_high,
     normalized_sequences,
     perturbed_system,
@@ -28,7 +30,7 @@ from spanlab import (
     sym_power_dim,
     validate,
 )
-from spanlab.jets import _mul
+from spanlab.jets import _mul, _product_rows
 
 
 class TestTruncatedSeries:
@@ -62,6 +64,38 @@ class TestMul:
     @given(_fractions, _fractions, _caps)
     def test_matches_double_loop_on_fractions(self, a, b, cap):
         assert _mul(a, b, cap) == _naive_mul(a, b, cap)
+
+
+class TestProductRows:
+    @pytest.mark.parametrize("make,entries,seed", [
+        (perturbed_system, (0, 1, 3), 1),
+        (perturbed_system, (0, 1, 2, 4), 2),
+        (perturbed_system, (0, 2, 3, 4, 7), 3),
+        (reparametrized_system, (0, 1, 2), 4),
+        (reparametrized_system, (0, 2, 3, 5), 5),
+    ])
+    def test_rows_match_naive_products(self, make, entries, seed):
+        # Each row is the truncated product of sec_i^k_i over its monomial,
+        # multiplied out anew; rows come in monomials_of_degree order.
+        system = make(validate(entries), seed=seed)
+        secs = system.integer_sections
+        for m in range(4):
+            for n_coeffs in (m * entries[-1] + 1, m * system.poly_degree + 1):
+                monos, rows = _product_rows(system, m, n_coeffs)
+                assert monos == list(monomials_of_degree(m, len(secs)))
+                for xi, row in zip(monos, rows):
+                    expected = [1] + [0] * (n_coeffs - 1)
+                    for sec, k in zip(secs, xi):
+                        for _ in range(k):
+                            expected = _naive_mul(expected, sec, n_coeffs)
+                    assert row == expected, (xi, n_coeffs)
+
+    def test_row_width_counts_against_the_enumeration_budget(self):
+        # (1, t^200) has only 201 monomials of degree 200, but their rows
+        # have 40,001 coefficients each.
+        system = JetSystem(((F(1),), (F(0),) * 200 + (F(1),)))
+        with pytest.raises(EnumerationTooLarge, match="exceed the limit"):
+            sym_power_dim(system, 200)
 
 
 class TestAdaptedBasis:

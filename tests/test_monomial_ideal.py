@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanlab import (
+    EnumerationTooLarge,
     HypothesisFailed,
     LengthMismatch,
     NonEquivalent,
@@ -34,6 +36,7 @@ from spanlab import (
     weight,
     weight_class,
 )
+from spanlab import monomial_ideal
 from spanlab.monomial_ideal import _partition, _weight_classes
 
 
@@ -65,6 +68,41 @@ class TestBasics:
         assert len(monos) == comb(m + nvars - 1, nvars - 1)
         assert monos == sorted(monos)
         assert all(sum(xi) == m for xi in monos)
+
+    @pytest.mark.parametrize("nvars", range(1, 6))
+    def test_monomial_enumeration_matches_product_filter(self, nvars):
+        for m in range(7):
+            expected = sorted(xi for xi in itertools.product(range(m + 1), repeat=nvars)
+                              if sum(xi) == m)
+            assert list(monomials_of_degree(m, nvars)) == expected, m
+
+    def test_negative_degree_is_rejected(self):
+        seq = validate([0, 1, 3])
+        for call in (lambda: monomials_of_degree(-1, 1), lambda: weight_class(seq, -1, 0),
+                     lambda: bigraded_dims(seq, -1)):
+            with pytest.raises(ValueError, match="degree must be >= 0"):
+                call()
+
+
+class TestEnumerationBudget:
+    def test_fixed_limit(self):
+        # 1413 variables at degree 1 write C(1414, 1413) * 1413 = 1,997,982
+        # entries; 1414 variables write 2,000,810, past the limit.
+        assert monomial_ideal.MAX_ENUMERATED_ENTRIES == 2_000_000
+        assert bigraded_dims(validate(list(range(1413))), 1).total == 1413
+        with pytest.raises(EnumerationTooLarge, match="exceed the limit"):
+            bigraded_dims(validate(list(range(1414))), 1)
+
+    def test_limit_passes_and_one_past_raises(self, monkeypatch):
+        seq = validate([0, 1, 2, 3, 4, 5])
+        entries = comb(7 + 6, 6) * 6  # monomials of degree <= 7, 6 exponents each
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", entries)
+        assert bigraded_dims(seq, 7).total == comb(7 + 5, 5)
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", entries - 1)
+        with pytest.raises(EnumerationTooLarge):
+            bigraded_dims(seq, 7)
+        with pytest.raises(EnumerationTooLarge):
+            generation_scan(seq, 7)
 
 
 class TestBigradedDims:

@@ -250,6 +250,7 @@ class TestCli:
         ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "1"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "0"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "1"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3", "--mcap", "2"),
     ])
     def test_degree_cap_below_two_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +279,23 @@ class TestCli:
     def test_oversized_sumset_fails_fast(self, capsys):
         start = time.perf_counter()
         code = main(["hilbert", "--seq", "0,99999,100000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ideal", "dims", "--seq", ",".join(map(str, range(16))), "--m", "20"],
+        ["jets", "rank", "--m", "40"],
+    ])
+    def test_oversized_enumeration_fails_fast(self, capsys, tmp_path, argv):
+        # C(35, 15) ~ 3.2e9 monomials; C(46, 6) ~ 9.4e6 product rows of seven
+        # unit sections 1, t, ..., t^6.
+        path = tmp_path / "unit7.json"
+        path.write_text(json.dumps([[0] * i + [1] for i in range(7)]))
+        if argv[0] == "jets":
+            argv = argv + ["--sections-file", str(path)]
+        start = time.perf_counter()
+        code = main(argv)
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
