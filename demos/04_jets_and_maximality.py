@@ -24,7 +24,7 @@ from spanlab import (
 system = JetSystem(((F(1),), (F(0), F(1), F(1)), (F(0), F(1))))
 seq, basis = adapted_basis(system)
 print(f"adapted orders of (1, t+t^2, t): {seq.to_text()}")
-print(f"adapted basis: {[list(map(str, b.coefficients)) for b in basis]}")
+print(f"adapted basis: {[list(map(str, b)) for b in basis]}")
 print()
 
 # A perturbation can only lose relations: its rank never drops below the span.

@@ -83,7 +83,6 @@ from .jets import (
     FiltrationProfile,
     JetSystem,
     PropagationReport,
-    TruncatedSeries,
     adapted_basis,
     check_ideal_propagation,
     degree_genus_estimate,

@@ -2,15 +2,16 @@
 
 ``IncrementalRank`` is the only elimination: it absorbs integer rows one at a
 time into a row echelon form, merging rows by gcd-scaled integer combinations.
-Ranks, prefix ranks (the rank after each ``add``) and left kernels all come
-from it, so floating point never touches a rank decision.
+Ranks, prefix ranks (the rank after each ``add``), left kernels and pivot
+columns all come from it, so floating point never touches a rank decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 def clear_denominators(row: Sequence) -> list[int]:
@@ -34,7 +35,7 @@ def _reduce_row(row: dict[int, int]) -> dict[int, int]:
 
 
 class IncrementalRank:
-    """Integer row echelon that absorbs rows one at a time.
+    """Integer row echelon that absorbs sparse rows {column: value} one at a time.
 
     ``add`` returns True when the row enlarged the span; ``rank`` is always
     the exact rank of everything added so far.
@@ -47,8 +48,13 @@ class IncrementalRank:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def add(self, row: Iterable[tuple[int, int]] | dict[int, int]) -> bool:
-        current = {c: v for c, v in (row.items() if isinstance(row, dict) else row) if v}
+    @property
+    def pivots(self) -> Mapping[int, dict[int, int]]:
+        """Read-only view of the echelon rows, each keyed by its leading column."""
+        return MappingProxyType(self._pivots)
+
+    def add(self, row: dict[int, int]) -> bool:
+        current = {c: v for c, v in row.items() if v}
         while current:
             lead = min(current)
             pivot = self._pivots.get(lead)
@@ -91,7 +97,7 @@ def left_kernel_basis(rows: list[Sequence], ncols: int) -> list[list[int]]:
         entries[ncols + i] = unit
         ech.add(entries)
     basis = []
-    for lead, pivot in sorted(ech._pivots.items()):
+    for lead, pivot in sorted(ech.pivots.items()):
         if lead >= ncols:
             vec = [0] * len(rows)
             for c, v in pivot.items():

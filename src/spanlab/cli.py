@@ -82,7 +82,10 @@ def _load_sections(path: str) -> JetSystem:
         raw = json.load(fh)
     if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
         raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
-    sections = tuple(tuple(Fraction(str(c)) for c in sec) for sec in raw)
+    try:
+        sections = tuple(tuple(Fraction(str(c)) for c in sec) for sec in raw)
+    except ZeroDivisionError:
+        raise ValueError(f"{path}: a coefficient has a zero denominator") from None
     return JetSystem(sections)
 
 

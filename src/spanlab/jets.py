@@ -1,4 +1,4 @@
-"""Exact truncated power series, jet systems, and rank-based dimension data.
+"""Jet systems of exact truncated power series and rank-based dimension data.
 
 A jet system is a tuple of n+1 local sections given by rational coefficient
 lists.  Sections are polynomials by default (coefficients beyond the stored
@@ -18,7 +18,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import _linalg
 from .errors import (
@@ -45,27 +45,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Exact rational coefficients c_0..c_{N-1} modulo t^N."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients)
-
-    def order(self) -> Optional[int]:
-        """Index of the first nonzero coefficient; None when zero mod t^N."""
-        for i, c in enumerate(self.coefficients):
-            if c:
-                return i
-        return None
-
-    def is_zero(self) -> bool:
-        return self.order() is None
 
 
 def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -127,35 +106,21 @@ class JetSystem:
         return self.truncation if self.truncation is not None else self.poly_degree + 1
 
     @cached_property
-    def _triangular(self) -> tuple[tuple[int, tuple[Fraction, ...]], ...]:
-        """(order, row) pairs of the sections triangularized by leading order,
-        orders strictly increasing.  Raises ``DegenerateWithinTruncation``
-        when a section reduces to zero."""
-        n_coeffs = self._known_coeffs
-        pending = [list(sec) + [Fraction(0)] * (n_coeffs - len(sec)) for sec in self.sections]
-        finished = []
-        while pending:
-            orders = [next((i for i, c in enumerate(row) if c), None) for row in pending]
-            if None in orders:
+    def _pivots(self) -> Mapping[int, dict[int, int]]:
+        """Echelon rows of the integer sections keyed by leading order; the
+        keys are the vanishing orders of the span.  Raises
+        ``DegenerateWithinTruncation`` when a section adds nothing to it."""
+        ech = _linalg.IncrementalRank()
+        for sec in self.integer_sections:
+            if not ech.add({c: v for c, v in enumerate(sec) if v}):
                 raise DegenerateWithinTruncation(
-                    f"sections dependent up to order >= {n_coeffs}; raise the truncation")
-            best = min(range(len(pending)),
-                       key=lambda i: (orders[i], sum(1 for c in pending[i] if c)))
-            pivot_order = orders[best]
-            pivot = pending.pop(best)
-            finished.append((pivot_order, tuple(pivot)))
-            lead = pivot[pivot_order]
-            for row in pending:
-                if row[pivot_order]:
-                    f = row[pivot_order] / lead
-                    for k in range(pivot_order, n_coeffs):
-                        row[k] -= f * pivot[k]
-        return tuple(finished)
+                    f"sections dependent up to order >= {self._known_coeffs}; raise the truncation")
+        return ech.pivots
 
     @cached_property
     def adapted_orders(self) -> VanishingSequence:
         """The strictly increasing vanishing orders a_0 < ... < a_n of the span."""
-        return VanishingSequence(tuple(order for order, _ in self._triangular))
+        return VanishingSequence(tuple(sorted(self._pivots)))
 
     @cached_property
     def integer_sections(self) -> tuple[tuple[int, ...], ...]:
@@ -218,11 +183,14 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
     return JetSystem(tuple(tuple(sec) for sec in sections))
 
 
-def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence, list[TruncatedSeries]]:
-    """Triangularize the sections by leading order.
+def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence, list[tuple[Fraction, ...]]]:
+    """The adapted orders and the reduced basis of the sections' span.
 
-    Returns the cached ``system.adapted_orders`` and a basis whose i-th member
-    is t^{a_i} + higher order terms, built on each call.  Raises
+    Returns the cached ``system.adapted_orders`` a_0 < ... < a_n and, built
+    on each call, one coefficient tuple per order, as long as the known
+    coefficients: the i-th is t^{a_i} plus terms at orders outside the
+    sequence.  That is the reduced row echelon form of the sections, so it
+    does not depend on how they are given.  Raises
     ``DegenerateWithinTruncation`` when two sections collide to order >= N - guard:
     either the sections are dependent or more coefficients are needed.
     """
@@ -231,8 +199,17 @@ def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence,
     if orders[-1] >= limit:
         raise DegenerateWithinTruncation(
             f"sections dependent up to order >= {limit}; raise the truncation")
-    basis = [TruncatedSeries(tuple(c / row[o] for c in row)) for o, row in system._triangular]
-    return orders, basis
+    # From the highest order down: scale each echelon row to lead 1, then
+    # clear its entries at the higher orders with the rows already reduced.
+    reduced: dict[int, list[Fraction]] = {}
+    for a in reversed(orders.entries):
+        pivot = system._pivots[a]
+        row = [Fraction(pivot.get(c, 0), pivot[a]) for c in range(system._known_coeffs)]
+        for b, lower in reduced.items():
+            f = row[b]
+            row = [x - f * y for x, y in zip(row, lower)]
+        reduced[a] = row
+    return orders, [tuple(reduced[a]) for a in orders]
 
 
 def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -380,21 +357,19 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
         n_coeffs = _working_truncations(system, t, seq[-1])[-1]
         monomials, rows = _product_rows(system, t, n_coeffs)
         # lift[pos][var] is the column of monomials[pos] * x_var among the
-        # degree-(t+1) monomials, numbered in order of first appearance.
+        # degree-(t+1) monomials, numbered in order of first appearance; for
+        # a fixed var it is injective, so shifting merges no entries.
         columns: dict[tuple[int, ...], int] = {}
         lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
                  for var in range(nvars)] for xi in monomials]
-        shifted: list[list[int]] = []
+        shifted = _linalg.IncrementalRank()
         for vec in _linalg.left_kernel_basis(rows, n_coeffs):
             entries = [(pos, c) for pos, c in enumerate(vec) if c]
             for var in range(nvars):
-                row = [0] * len(columns)
-                for pos, c in entries:
-                    row[lift[pos][var]] = c
-                shifted.append(row)
+                shifted.add({lift[pos][var]: c for pos, c in entries})
         # The shifted relations always sit inside the degree-(t+1) kernel, so
         # their rank is at most kernel_dims[t+1]; equality is what must hold.
-        ok = _linalg.rank(shifted) >= kernel_dims[t + 1]
+        ok = shifted.rank >= kernel_dims[t + 1]
         one_step[t] = ok
         if not ok:
             raise PropagationFailed(

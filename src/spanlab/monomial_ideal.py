@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import add, sub
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated
 from .sequences import VanishingSequence
@@ -31,13 +31,14 @@ Move = tuple[tuple[int, int], tuple[int, int]]
 MAX_ENUMERATED_ENTRIES = 2_000_000
 
 
-def _grow(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> tuple[list[Monomial], list]:
-    # The degree-m monomials in len(steps) variables, in ascending
-    # lexicographic order, each with one value: ``start`` at the constant
-    # monomial, op(value, steps[i]) for each further factor x_i (by default
-    # the weight under entries ``steps``).  Degree m grows from degree m-1
-    # by raising only variables at or after the last one raised: each
-    # monomial is reached once, in descending order, reversed at the end.
+def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> Iterator[list]:
+    # Degrees 0..m of the monomials in len(steps) variables, one level per
+    # degree in ascending lexicographic order, as triples (monomial, last
+    # variable raised, value): ``start`` at the monomial 1, op(value,
+    # steps[i]) for each further factor x_i (by default the weight under
+    # entries ``steps``).
+    # Degree d raises each degree-(d-1) monomial at its last raised variable
+    # and the later ones, later first: each monomial once, in order.
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     nvars = len(steps)
@@ -47,10 +48,17 @@ def _grow(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) 
             f"{entries} entries for the degree-{m} monomials in {nvars} variables "
             f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
     level = [((0,) * nvars, 0, start)]
+    yield level
     for _ in range(m):
         level = [(xi[:i] + (xi[i] + 1,) + xi[i + 1:], i, op(value, steps[i]))
-                 for xi, last, value in level for i in range(last, nvars)]
-    level.reverse()
+                 for xi, last, value in level for i in range(nvars - 1, last - 1, -1)]
+        yield level
+
+
+def _grow(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> tuple[list[Monomial], list]:
+    # The degree-m level of _levels, as monomials and their values.
+    for level in _levels(m, steps, op, start, width):
+        pass
     return [xi for xi, _, _ in level], [value for _, _, value in level]
 
 
@@ -128,8 +136,13 @@ def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
 def _weight_classes(seq: VanishingSequence, m: int) -> dict[int, list[Monomial]]:
     # Degree-m monomials grouped by weight, in lexicographic order inside
     # each class.
+    return _by_weight(zip(*_grow(m, seq.entries)))
+
+
+def _by_weight(pairs: Iterable[tuple[Monomial, int]]) -> dict[int, list[Monomial]]:
+    # (monomial, weight) pairs of one degree as a _weight_classes table.
     classes: dict[int, list[Monomial]] = {}
-    for xi, w in zip(*_grow(m, seq.entries)):
+    for xi, w in pairs:
         classes.setdefault(w, []).append(xi)
     return classes
 
@@ -274,7 +287,7 @@ class GenerationScan:
 
 def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
     """Minimal-generator degrees and quadric flags of each degree in
-    [3; m_cap], with one weight-class table per degree.
+    [3; m_cap], from one weight-class table per level of one enumeration.
 
     A two-piece partition runs only where the flag does not follow from
     degree m-1: a generator degree is not generated by quadrics, and
@@ -286,8 +299,10 @@ def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> Gen
     generator_degrees = []
     quadric = {}
     by_quadrics = True  # whether degree m-1 is generated by quadrics
-    for m in range(3, m_cap + 1):
-        classes = _weight_classes(seq, m)
+    for m, level in enumerate(_levels(m_cap, seq.entries)):
+        if m < 3:
+            continue
+        classes = _by_weight((xi, w) for xi, _, w in level)
         if _split(classes):
             generator_degrees.append(m)
             by_quadrics = False

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from spanlab import (
@@ -10,7 +12,6 @@ from spanlab import (
     HypothesisFailed,
     JetSystem,
     NotLinearOnRange,
-    TruncatedSeries,
     TruncationMismatch,
     TruncationTooSmall,
     adapted_basis,
@@ -31,14 +32,6 @@ from spanlab import (
     validate,
 )
 from spanlab.jets import _mul, _product_rows
-
-
-class TestTruncatedSeries:
-    def test_zero_order(self):
-        zero = TruncatedSeries((F(0),) * 3)
-        assert zero.order() is None
-        assert zero.is_zero()
-        assert zero.truncation == 3
 
 
 def _naive_mul(a, b, cap):
@@ -98,21 +91,65 @@ class TestProductRows:
             sym_power_dim(system, 200)
 
 
+def _order(coeffs):
+    return next((i for i, c in enumerate(coeffs) if c), None)
+
+
+def _sympy_rref(system):
+    # Pivot columns and nonzero rows of the reduced row echelon form of the
+    # sections, zero-padded to the known coefficients.
+    width = system._known_coeffs
+    matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in sec]
+                           + [0] * (width - len(sec)) for sec in system.sections])
+    reduced, pivots = matrix.rref()
+    rows = [tuple(F(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(len(pivots))]
+    return pivots, rows
+
+
+def _check_against_rref(system) -> bool:
+    # Whether the sections are independent; either way adapted_basis must
+    # agree with sympy's rref.
+    pivots, rows = _sympy_rref(system)
+    if len(pivots) < len(system.sections):
+        with pytest.raises(DegenerateWithinTruncation):
+            adapted_basis(system)
+        return False
+    seq, basis = adapted_basis(system)
+    assert seq.entries == pivots
+    assert basis == rows
+    return True
+
+
+def _random_system(rng, dependent):
+    # Short sections with many zero coefficients, so leading orders collide;
+    # a dependent system gets one section that combines the others.
+    sections = [[F(rng.randint(-3, 3) * (rng.random() < 0.6), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(2, 4))]
+    if dependent:
+        combo = [F(0)] * max(map(len, sections))
+        for sec in sections:
+            scale = F(rng.randint(-2, 2), rng.randint(1, 2))
+            for k, c in enumerate(sec):
+                combo[k] += scale * c
+        sections.insert(rng.randint(0, len(sections)), combo)
+    return JetSystem(tuple(map(tuple, sections)))
+
+
 class TestAdaptedBasis:
     def test_monomial_sections(self):
         seq, basis = adapted_basis(monomial_system(validate([0, 1, 2])))
         assert seq.entries == (0, 1, 2)
         for a, b in zip(seq, basis):
-            assert b.order() == a
-            assert b.coefficients[a] == 1
+            assert _order(b) == a
+            assert b[a] == 1
 
     def test_order_collision_eliminated(self):
         system = JetSystem(((F(1),), (F(0), F(1), F(1)), (F(0), F(1))))
         seq, basis = adapted_basis(system)
         assert seq.entries == (0, 1, 2)
         for a, b in zip(seq, basis):
-            assert b.order() == a
-            assert b.coefficients[a] == 1
+            assert _order(b) == a
+            assert b[a] == 1
 
     def test_dependent_sections(self):
         # Raises on every call: a failed triangularization is not cached.
@@ -132,7 +169,22 @@ class TestAdaptedBasis:
         system = JetSystem(((F(0), F(0), F(1)), (F(1),), (F(0), F(2))))
         seq, basis = adapted_basis(system)
         assert seq.entries == (0, 1, 2)
-        assert all(b.coefficients[a] == 1 for a, b in zip(seq, basis))
+        assert all(b[a] == 1 for a, b in zip(seq, basis))
+
+    @pytest.mark.parametrize("make", [perturbed_system, reparametrized_system])
+    def test_model_deformations_match_sympy_rref(self, make):
+        for entries in [(0, 1, 2), (0, 1, 3), (0, 2, 3, 7), (0, 1, 2, 4, 5)]:
+            for seed in range(3):
+                assert _check_against_rref(make(validate(entries), seed=seed))
+
+    def test_random_systems_match_sympy_rref(self):
+        rng = random.Random(8)
+        independent = sum(_check_against_rref(_random_system(rng, dependent=False))
+                          for _ in range(60))
+        # Random short sections are often dependent too; both kinds occur.
+        assert 0 < independent < 60
+        for _ in range(20):
+            assert not _check_against_rref(_random_system(rng, dependent=True))
 
 
 class TestSymPowerDim:
@@ -197,6 +249,19 @@ class TestTruncatedMode:
         # The guarded call reuses the orders the first call cached.
         with pytest.raises(DegenerateWithinTruncation):
             adapted_basis(system, guard=1)
+
+    def test_truncated_basis_matches_sympy_rref(self):
+        # The basis spans all stored coefficients; a guard only decides
+        # whether the top order is trusted.
+        system = JetSystem(((F(1), F(2)), (F(0), F(1), F(1)), (F(0), F(1), F(0), F(1))),
+                           truncation=6)
+        assert _check_against_rref(system)
+        seq, basis = adapted_basis(system, guard=3)
+        assert seq.entries == (0, 1, 2)
+        assert basis == _sympy_rref(system)[1]
+        assert all(len(b) == 6 for b in basis)
+        with pytest.raises(DegenerateWithinTruncation, match="order >= 2"):
+            adapted_basis(system, guard=4)
 
 
 class TestFiltration:

@@ -331,6 +331,13 @@ class TestCli:
         assert err.count("\n") == 1
         assert "expected a JSON array of coefficient arrays" in err
 
+    def test_zero_denominator_in_sections_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[["1/0"], [0, 1]]')
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: a coefficient has a zero denominator\n"
+
 
 def test_import_does_not_load_numpy():
     # spanlab has no runtime dependency; keep numpy from creeping back in.
