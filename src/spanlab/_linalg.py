@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def clear_denominators(row: Sequence) -> list[int]:
@@ -26,9 +26,7 @@ def clear_denominators(row: Sequence) -> list[int]:
 
 
 def _reduce_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
     return row
@@ -71,29 +69,21 @@ class IncrementalRank:
         return False
 
 
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix given as an iterable of rows."""
-    ech = IncrementalRank()
-    for row in rows:
-        ech.add({c: int(v) for c, v in enumerate(row) if v})
-    return ech.rank
+def left_kernel_basis(rows: Sequence[Mapping[int, Any]], ncols: int) -> list[list[int]]:
+    """Integer basis of {c : sum_i c_i row_i = 0} for sparse rows
+    {column: value} with columns below ``ncols``; values may be rational.
 
-
-def left_kernel_basis(rows: list[Sequence], ncols: int) -> list[list[int]]:
-    """Integer basis of {c : sum_i c_i row_i = 0}; rows may be rational.
-
-    Each row of length ``ncols`` is extended by the unit vector e_i in columns
-    ``ncols + i`` and cleared of denominators, which scales its unit entry
-    along with it, so the extension always records the combination of the
-    original rows.  An echelon pivot whose leading column is >= ``ncols`` is
-    zero on the rows' columns: its extension is a kernel vector.  There are
-    ``len(rows) - rank`` such pivots and their distinct leading columns make
-    them independent.
+    Each row is extended by the unit vector e_i in column ``ncols + i`` and
+    cleared of denominators, which scales its unit entry along with it, so
+    the extension always records the combination of the original rows.  An
+    echelon pivot whose leading column is >= ``ncols`` is zero on the rows'
+    columns: its extension is a kernel vector.  There are ``len(rows) - rank``
+    such pivots and their distinct leading columns make them independent.
     """
     ech = IncrementalRank()
     for i, row in enumerate(rows):
-        *head, unit = clear_denominators([*row, 1])
-        entries = {c: v for c, v in enumerate(head) if v}
+        *values, unit = clear_denominators([*row.values(), 1])
+        entries = dict(zip(row, values))
         entries[ncols + i] = unit
         ech.add(entries)
     basis = []

@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .bounds import (
@@ -78,15 +77,18 @@ def _int_at_least(low: int):
 
 
 def _load_sections(path: str) -> JetSystem:
+    # Non-integer numbers are kept as the text written, so 0.0000001 is read
+    # exactly and 1e-7 meets the same exponent check as the string "1e-7".
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_float=str)
     if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
         raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
     try:
-        sections = tuple(tuple(Fraction(str(c)) for c in sec) for sec in raw)
+        return JetSystem(tuple(tuple(map(str, sec)) for sec in raw))
     except ZeroDivisionError:
         raise ValueError(f"{path}: a coefficient has a zero denominator") from None
-    return JetSystem(sections)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_span(args):

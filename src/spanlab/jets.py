@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -30,7 +30,7 @@ from .errors import (
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .monomial_ideal import _grow, generation_scan
+from .monomial_ideal import _check_enumeration, _grow, generation_scan
 from .sequences import VanishingSequence
 from .span import span
 
@@ -43,6 +43,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction would compute 10**exponent exactly: "1e1000000000"
+        # stalls, so coefficient text is an integer, a decimal or p/q only.
+        if "e" in x or "E" in x:
+            raise ValueError(
+                f"invalid coefficient {x!r}: write an integer, a decimal or p/q "
+                "(exponent notation is not accepted)")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -55,17 +61,78 @@ def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs[: last + 1])
 
 
-def _mul(a: Sequence, b: Sequence, cap: Optional[int] = None) -> list:
-    """Product of two int or Fraction coefficient lists; with ``cap``, its
-    first ``cap`` coefficients (zero-padded to exactly ``cap`` entries)."""
-    n = (len(a) + len(b) - 1 if a and b else 0) if cap is None else cap
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
+def _mul(a: Sequence, b: Sequence) -> list:
+    """Product of two int or Fraction coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b[:n - i]):
+            for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
     return out
+
+
+# Slots handled by one shift-per-slot loop; longer values are cut in half
+# first, so packing or reading n slots copies O(n log n) bits, not O(n^2).
+_SLOTS_PER_LOOP = 64
+
+
+def _pack(coeffs: Sequence[int], k: int) -> int:
+    # Kronecker substitution t -> 2^k: sum of c_i * 2^(k*i).
+    if len(coeffs) > _SLOTS_PER_LOOP:
+        h = len(coeffs) // 2
+        return _pack(coeffs[:h], k) + (_pack(coeffs[h:], k) << (h * k))
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << k) + c
+    return value
+
+
+def _unpack(value: int, k: int, n_coeffs: int) -> dict[int, int]:
+    # The nonzero coefficients below t^n_coeffs of a packed polynomial whose
+    # coefficients all satisfy |c| < 2^(k-1), as {column: c}.  Slots below
+    # the lowest set bit are zero.
+    row: dict[int, int] = {}
+    if value:
+        col = ((value & -value).bit_length() - 1) // k
+        _read_slots(value >> (col * k), k, col, n_coeffs, row)
+    return row
+
+
+def _read_slots(value: int, k: int, col: int, end: int, row: dict[int, int]) -> int:
+    # Reads the slots col..end-1 of value into row and returns the value
+    # left above them.  Each k-bit slot is a signed digit; a negative one
+    # borrowed 1 from the slot above, which is paid back.
+    if end - col > _SLOTS_PER_LOOP and value:
+        h = (end - col) // 2
+        low = value & ((1 << (h * k)) - 1)
+        carry = _read_slots(low, k, col, col + h, row)
+        return _read_slots((value >> (h * k)) + carry, k, col + h, end, row)
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    while value and col < end:
+        c = value & mask
+        value >>= k
+        if c >= half:
+            c -= full
+            value += 1
+        if c:
+            row[col] = c
+        col += 1
+    return value
+
+
+class _PackedRows(Sequence):
+    # Packed products, each unpacked to its sparse row when it is read, so
+    # a reader that takes one row at a time holds one row besides the
+    # packed values.  Integer indices only.
+    def __init__(self, values: list[int], k: int, n_coeffs: int):
+        self._values, self._k, self._n_coeffs = values, k, n_coeffs
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i: int) -> dict[int, int]:
+        return _unpack(self._values[i], self._k, self._n_coeffs)
 
 
 @dataclass(frozen=True)
@@ -212,19 +279,29 @@ def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence,
     return orders, [tuple(reduced[a]) for a in orders]
 
 
-def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Degree-m products of the sections as integer coefficient rows.
+def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
+    """Degree-m products of the sections, cut below t^n_coeffs, as sparse
+    integer rows {column: coefficient} without zero entries, each unpacked
+    when it is read.
 
     Monomials and rows come from the degree-by-degree growth that lists the
-    weight classes, in ``monomials_of_degree(m, n+1)`` order: each row is
-    its parent's row times one section, one truncated convolution.
+    weight classes, in ``monomials_of_degree(m, n+1)`` order.  The sections
+    are Kronecker-packed into one integer each, with slots of k bits where
+    2^(k-1) exceeds B = (largest section L1 norm)^m, which bounds every
+    coefficient of a degree-m product; each value is then its parent's
+    times one packed section, a single big-integer multiply.  Coefficients
+    below t^N of a product depend only on the factors' coefficients below
+    t^N, so cutting the sections and the unpacked rows at N is exact.
     """
     if system.truncation is not None and n_coeffs > system.truncation:
         raise TruncationTooSmall(
             f"system stores coefficients to t^{system.truncation}, need t^{n_coeffs}")
     secs = [sec[:n_coeffs] for sec in system.integer_sections]
-    one = [1] + [0] * (n_coeffs - 1)
-    return _grow(m, secs, partial(_mul, cap=n_coeffs), one, n_coeffs)
+    # Before B is computed: B has about m times the bits of the norm.
+    _check_enumeration(m, len(secs), n_coeffs)
+    k = (max(sum(map(abs, sec)) for sec in secs) ** m).bit_length() + 1
+    monomials, values = _grow(m, [_pack(sec, k) for sec in secs], mul, 1, n_coeffs)
+    return monomials, _PackedRows(values, k, n_coeffs)
 
 
 def _working_truncations(system: JetSystem, m: int, top_order: int) -> list[int]:
@@ -253,8 +330,10 @@ def sym_power_dim(system: JetSystem, m: int) -> int:
         return 1
     ranks = []
     for n_coeffs in _working_truncations(system, m, system.adapted_orders[-1]):
-        _, rows = _product_rows(system, m, n_coeffs)
-        ranks.append(_linalg.rank(rows))
+        ech = _linalg.IncrementalRank()
+        for row in _product_rows(system, m, n_coeffs)[1]:
+            ech.add(row)
+        ranks.append(ech.rank)
     if len(set(ranks)) != 1:
         raise TruncationTooSmall(
             f"rank unstable under raising the truncation ({ranks}); supply more coefficients")
@@ -297,7 +376,7 @@ def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
         while idx < len(order):
             w = weights[order[idx]]
             while idx < len(order) and weights[order[idx]] == w:
-                ech.add({c: v for c, v in enumerate(rows[order[idx]]) if v})
+                ech.add(rows[order[idx]])
                 seen += 1
                 idx += 1
             nullity = seen - ech.rank

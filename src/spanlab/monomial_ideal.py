@@ -31,6 +31,18 @@ Move = tuple[tuple[int, int], tuple[int, int]]
 MAX_ENUMERATED_ENTRIES = 2_000_000
 
 
+def _check_enumeration(m: int, nvars: int, width: int = 0) -> None:
+    # The budget of _levels, for callers that must check it before they
+    # build the steps.
+    if m < 0:
+        raise ValueError(f"degree must be >= 0, got {m}")
+    entries = comb(m + nvars, nvars) * (nvars + width)
+    if entries > MAX_ENUMERATED_ENTRIES:
+        raise EnumerationTooLarge(
+            f"{entries} entries for the degree-{m} monomials in {nvars} variables "
+            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
+
+
 def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> Iterator[list]:
     # Degrees 0..m of the monomials in len(steps) variables, one level per
     # degree in ascending lexicographic order, as triples (monomial, last
@@ -39,14 +51,8 @@ def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0
     # entries ``steps``).
     # Degree d raises each degree-(d-1) monomial at its last raised variable
     # and the later ones, later first: each monomial once, in order.
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
     nvars = len(steps)
-    entries = comb(m + nvars, nvars) * (nvars + width)
-    if entries > MAX_ENUMERATED_ENTRIES:
-        raise EnumerationTooLarge(
-            f"{entries} entries for the degree-{m} monomials in {nvars} variables "
-            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
+    _check_enumeration(m, nvars, width)
     level = [((0,) * nvars, 0, start)]
     yield level
     for _ in range(m):

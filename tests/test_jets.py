@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -31,10 +32,10 @@ from spanlab import (
     sym_power_dim,
     validate,
 )
-from spanlab.jets import _mul, _product_rows
+from spanlab.jets import _mul, _pack, _product_rows, _unpack
 
 
-def _naive_mul(a, b, cap):
+def _naive_mul(a, b, cap=None):
     n = len(a) + len(b) - 1 if a and b else 0
     out = [0] * (n if cap is None else cap)
     for i in range(len(a)):
@@ -44,19 +45,62 @@ def _naive_mul(a, b, cap):
     return out
 
 
+def _naive_row(secs, xi, n_coeffs):
+    # The product of sec_i^k_i over the monomial xi, multiplied out anew and
+    # cut below t^n_coeffs, with its zero entries dropped.
+    expected = [1] + [0] * (n_coeffs - 1)
+    for sec, k in zip(secs, xi):
+        for _ in range(k):
+            expected = _naive_mul(expected, sec, n_coeffs)
+    return {c: v for c, v in enumerate(expected) if v}
+
+
 _ints = st.lists(st.integers(-20, 20), max_size=8)
 _fractions = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=8)
-_caps = st.none() | st.integers(0, 12)
 
 
 class TestMul:
-    @given(_ints, _ints, _caps)
-    def test_matches_double_loop_on_ints(self, a, b, cap):
-        assert _mul(a, b, cap) == _naive_mul(a, b, cap)
+    @given(_ints, _ints)
+    def test_matches_double_loop_on_ints(self, a, b):
+        assert _mul(a, b) == _naive_mul(a, b)
 
-    @given(_fractions, _fractions, _caps)
-    def test_matches_double_loop_on_fractions(self, a, b, cap):
-        assert _mul(a, b, cap) == _naive_mul(a, b, cap)
+    @given(_fractions, _fractions)
+    def test_matches_double_loop_on_fractions(self, a, b):
+        assert _mul(a, b) == _naive_mul(a, b)
+
+
+class TestCoefficientText:
+    def test_rationals_as_text(self):
+        system = JetSystem((("1",), ("0", "-1/2", "0.25")))
+        assert system.sections == ((F(1),), (F(0), F(-1, 2), F(1, 4)))
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1E5", "-2.5e-3", "1/1e9"])
+    def test_exponent_notation_rejected_at_once(self, text):
+        # Fraction("1e1000000000") would compute 10**1000000000.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation"):
+            JetSystem(((text,), (0, 1)))
+        assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def _jet_systems(draw):
+    # Two to four sections of ints or fractions with negative entries, or
+    # sections c * t^e sharing one coefficient c: there every coefficient of
+    # a degree-m product is c^m, the bound (largest L1 norm)^m that sets the
+    # slot width.  Some systems declare a truncation above their sections.
+    nsecs = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["int", "fraction", "tight"]))
+    if kind == "tight":
+        c = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
+        sections = [(0,) * draw(st.integers(0, 5)) + (c,) for _ in range(nsecs)]
+    else:
+        entries = (st.integers(-(2 ** 20), 2 ** 20) if kind == "int"
+                   else st.fractions(min_value=-9, max_value=9, max_denominator=9))
+        sections = [tuple(draw(st.lists(entries, max_size=6))) for _ in range(nsecs)]
+    longest = max(map(len, sections))
+    truncation = draw(st.none() | st.integers(max(longest, 1), longest + 4))
+    return JetSystem(tuple(sections), truncation=truncation)
 
 
 class TestProductRows:
@@ -69,7 +113,7 @@ class TestProductRows:
     ])
     def test_rows_match_naive_products(self, make, entries, seed):
         # Each row is the truncated product of sec_i^k_i over its monomial,
-        # multiplied out anew; rows come in monomials_of_degree order.
+        # without zero entries; rows come in monomials_of_degree order.
         system = make(validate(entries), seed=seed)
         secs = system.integer_sections
         for m in range(4):
@@ -77,11 +121,18 @@ class TestProductRows:
                 monos, rows = _product_rows(system, m, n_coeffs)
                 assert monos == list(monomials_of_degree(m, len(secs)))
                 for xi, row in zip(monos, rows):
-                    expected = [1] + [0] * (n_coeffs - 1)
-                    for sec, k in zip(secs, xi):
-                        for _ in range(k):
-                            expected = _naive_mul(expected, sec, n_coeffs)
-                    assert row == expected, (xi, n_coeffs)
+                    assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
+
+    @given(_jet_systems(), st.integers(0, 4), st.data())
+    def test_packed_rows_match_naive_products(self, system, m, data):
+        secs = system.integer_sections
+        top = max(map(len, secs))
+        cap = m * top + 2 if system.truncation is None else system.truncation
+        n_coeffs = data.draw(st.integers(1, cap))
+        monos, rows = _product_rows(system, m, n_coeffs)
+        assert monos == list(monomials_of_degree(m, len(secs)))
+        for xi, row in zip(monos, rows):
+            assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
 
     def test_row_width_counts_against_the_enumeration_budget(self):
         # (1, t^200) has only 201 monomials of degree 200, but their rows
@@ -89,6 +140,28 @@ class TestProductRows:
         system = JetSystem(((F(1),), (F(0),) * 200 + (F(1),)))
         with pytest.raises(EnumerationTooLarge, match="exceed the limit"):
             sym_power_dim(system, 200)
+
+    @given(st.integers(2, 40), st.data())
+    def test_pack_round_trip_across_the_halving(self, k, data):
+        # Values of more than 64 slots are packed and read in halves, so a
+        # borrow must cross each cut; digits reach both ends of |c| < 2^(k-1).
+        top = 2 ** (k - 1) - 1
+        digits = st.sampled_from([0, top, -top, -1, 1]) | st.integers(-top, top)
+        coeffs = data.draw(st.lists(digits, min_size=65, max_size=300))
+        n_coeffs = data.draw(st.integers(1, len(coeffs) + 2))
+        expected = {i: c for i, c in enumerate(coeffs[:n_coeffs]) if c}
+        assert _unpack(_pack(coeffs, k), k, n_coeffs) == expected
+
+    def test_rows_longer_than_one_shift_loop(self):
+        rng = random.Random(5)
+        secs = ((1,) + tuple(rng.randint(-9, 9) for _ in range(89)),
+                (0, 1) + tuple(rng.randint(-9, 9) for _ in range(88)))
+        system = JetSystem(secs)
+        for m in (1, 2, 3):
+            for n_coeffs in (64, 65, 129, 130, m * 89 + 1):
+                monos, rows = _product_rows(system, m, n_coeffs)
+                for xi, row in zip(monos, rows):
+                    assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
 
 
 def _order(coeffs):

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import sympy
 from hypothesis import given, strategies as st
 
-from spanlab._linalg import IncrementalRank, clear_denominators, left_kernel_basis, rank
+from spanlab._linalg import IncrementalRank, clear_denominators, left_kernel_basis
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -21,9 +22,20 @@ def _matrices(entries):
         st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
 
 
+def sparse(m):
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+def rank(m):
+    ech = IncrementalRank()
+    for row in sparse(m):
+        ech.add(row)
+    return ech.rank
+
+
 def check_left_kernel(m):
     nrows, ncols = len(m), len(m[0])
-    basis = left_kernel_basis(m, ncols)
+    basis = left_kernel_basis(sparse(m), ncols)
     assert len(basis) == nrows - sympy.Matrix(m).rank()
     for coeffs in basis:
         assert all(type(c) is int for c in coeffs)
@@ -49,19 +61,27 @@ class TestRank:
         rng = random.Random(1)
         m = random_matrix(rng, 10, 6, rank_cap=3)
         ech = IncrementalRank()
-        grew = [ech.add({c: v for c, v in enumerate(row) if v}) for row in m]
-        assert ech.rank == rank(m) == sum(grew)
+        grew = [ech.add(row) for row in sparse(m)]
+        assert ech.rank == sympy.Matrix(m).rank() == sum(grew)
 
     def test_zero_and_empty(self):
         assert rank([]) == 0
         assert rank([[0, 0], [0, 0]]) == 0
+
+    def test_pivots_are_primitive(self):
+        # Each stored pivot is divided by the gcd of its entries.
+        ech = IncrementalRank()
+        for row in ({0: 6, 2: -9}, {0: 4, 1: 8, 2: 2}, {1: 10, 3: 15}):
+            ech.add(row)
+        assert ech.pivots[0] == {0: 2, 2: -3}
+        assert all(gcd(*pivot.values()) == 1 for pivot in ech.pivots.values())
 
 
 class TestKernels:
     def test_left_kernel_annihilates_rows(self):
         rng = random.Random(4)
         m = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)] for _ in range(8)]
-        basis = left_kernel_basis(m, 6)
+        basis = left_kernel_basis(sparse(m), 6)
         assert len(basis) == 8 - sympy.Matrix(m).rank()
         for coeffs in basis:
             combo = [sum(coeffs[i] * m[i][c] for i in range(8)) for c in range(6)]

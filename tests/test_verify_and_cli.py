@@ -4,12 +4,13 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
 import spanlab
 from spanlab import SUITE_IDS, SweepConfig, UnknownSuite, run_all, run_suite
-from spanlab.cli import main
+from spanlab.cli import _load_sections, main
 
 
 SMALL = SweepConfig(max_entry=5, random_trials=30)
@@ -300,6 +301,18 @@ class TestCli:
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rank", "maximal", "profile"])
+    def test_huge_degree_fails_before_the_coefficient_bound(self, capsys, tmp_path, command):
+        # Sections 1 + 2t and t have L1 norm 3: the product bound 3^m would
+        # have 1.6e9 bits at this degree, so the budget must be checked first.
+        path = tmp_path / "norm3.json"
+        path.write_text("[[1, 2], [0, 1]]")
+        start = time.perf_counter()
+        code = main(["jets", command, "--sections-file", str(path), "--m", "1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceed the limit" in capsys.readouterr().err
+
     def test_repeated_calls_share_parser_state_safely(self, capsys):
         argv = ["ideal", "gendeg", "--seq", "0,1,3", "--mcap", "5", "--json"]
 
@@ -330,6 +343,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "expected a JSON array of coefficient arrays" in err
+
+    @pytest.mark.parametrize("text", ['[["1e1000000000"], [0, 1]]', '[[1e1000000000], [0, 1]]'])
+    def test_exponent_in_sections_file_fails_fast(self, capsys, tmp_path, text):
+        # Fraction would compute 10**1000000000; the text is refused unread.
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid coefficient '1e1000000000'")
+        assert "exponent notation" in err and err.count("\n") == 1
+
+    def test_decimal_numbers_in_sections_file_read_exactly(self, tmp_path):
+        # A JSON number is read from its text, not from the float it rounds to.
+        path = tmp_path / "decimal.json"
+        path.write_text('[[0.0000001], [0, 0.1]]')
+        assert _load_sections(str(path)).sections == ((F(1, 10 ** 7),), (F(0), F(1, 10)))
 
     def test_zero_denominator_in_sections_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
