@@ -60,7 +60,7 @@ def _int_list(text: str) -> str:
 
 
 def _int_at_least(low: int):
-    # argparse type for sweep sizes and degree caps: a value below ``low`` is
+    # argparse type for sizes and degrees: a value below ``low`` is
     # a usage error (exit 2), not a silent fall-back to a default or a
     # domain error from the library.
     wanted = "a positive integer" if low == 1 else f"an integer >= {low}"
@@ -274,6 +274,9 @@ def _cmd_jets_profile(args):
 
 
 def _cmd_jets_estimate(args):
+    if args.mhi <= args.mlo:
+        args.parser.error(f"argument --mhi: expected an integer above --mlo ({args.mlo}), "
+                          f"got {args.mhi}")
     system = _load_sections(args.sections_file)
     deg, genus = degree_genus_estimate(system, args.mlo, args.mhi)
     result = {"m_lo": args.mlo, "m_hi": args.mhi, "degree": deg, "arithmetic_genus": genus}
@@ -345,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("span", help="m-fold sumset size and classification")
     p.add_argument("--seq", type=_int_list, required=True, help="comma-separated entries, e.g. 0,1,2,4")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--classify", action="store_true", help="show the difference-shape verdict")
     add_json(p)
     p.set_defaults(handler=_cmd_span)
@@ -370,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal_sub = p.add_subparsers(dest="subcommand", required=True)
     q = ideal_sub.add_parser("dims", help="per-weight dimension tally at one degree")
     q.add_argument("--seq", type=_int_list, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=_int_at_least(0), required=True)
     add_json(q)
     q.set_defaults(handler=_cmd_ideal_dims)
     q = ideal_sub.add_parser("gendeg", help="smallest generating degree observed up to a cap")
@@ -392,30 +395,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jets", help="exact ranks of truncated-series systems")
     jets_sub = p.add_subparsers(dest="subcommand", required=True)
     for name, handler, extra in (
-        ("rank", _cmd_jets_rank, ("m",)),
-        ("maximal", _cmd_jets_maximal, ("m",)),
-        ("profile", _cmd_jets_profile, ("m",)),
-        ("estimate", _cmd_jets_estimate, ("mlo", "mhi")),
+        ("rank", _cmd_jets_rank, (("m", 0),)),
+        ("maximal", _cmd_jets_maximal, (("m", 1),)),
+        ("profile", _cmd_jets_profile, (("m", 0),)),
+        ("estimate", _cmd_jets_estimate, (("mlo", 1), ("mhi", 2))),
     ):
         q = jets_sub.add_parser(name)
         q.add_argument("--sections-file", required=True,
                        help="JSON array of coefficient arrays; entries like \"3/4\" or integers")
-        for field in extra:
-            q.add_argument(f"--{field}", type=int, required=True)
+        for field, low in extra:
+            q.add_argument(f"--{field}", type=_int_at_least(low), required=True)
         add_json(q)
-        q.set_defaults(handler=handler)
+        q.set_defaults(handler=handler, parser=q)
 
     p = sub.add_parser("bounds", help="closed-form counting bounds")
     bounds_sub = p.add_subparsers(dest="subcommand", required=True)
     q = bounds_sub.add_parser("hypersurfaces")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--n", type=_int_at_least(1), required=True)
+    q.add_argument("--m", type=_int_at_least(2), required=True)
     add_json(q)
     q.set_defaults(handler=_cmd_bounds_hypersurfaces)
     q = bounds_sub.add_parser("pluecker")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--g", type=int, required=True)
+    q.add_argument("--n", type=_int_at_least(1), required=True)
+    q.add_argument("--d", type=_int_at_least(1), required=True)
+    q.add_argument("--g", type=_int_at_least(0), required=True)
     q.add_argument("--weights", type=_int_list, default=None, help="comma-separated point weights")
     add_json(q)
     q.set_defaults(handler=_cmd_bounds_pluecker)

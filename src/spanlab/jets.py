@@ -304,12 +304,13 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     return monomials, _PackedRows(values, k, n_coeffs)
 
 
-def _working_truncations(system: JetSystem, m: int, top_order: int) -> list[int]:
+def _working_truncations(system: JetSystem, m: int) -> list[int]:
     # Polynomial systems: one exact pass (products cannot exceed m * degree).
     # Truncated systems: the default working precision plus a stability
     # re-check one order block higher, as far as the stored data allows.
     if system.truncation is None:
         return [m * system.poly_degree + 1]
+    top_order = system.adapted_orders[-1]
     needed = m * top_order + 1 + _GUARD
     if system.truncation < needed:
         raise TruncationTooSmall(
@@ -321,19 +322,16 @@ def _working_truncations(system: JetSystem, m: int, top_order: int) -> list[int]
 def sym_power_dim(system: JetSystem, m: int) -> int:
     """Dimension of the span of all degree-m products of the sections.
 
-    Exact rank of the product matrix; for explicitly truncated systems the
-    rank is re-computed at a higher truncation and must agree.
+    Exact rank of the product matrix, C(m+n, n) less the relation dimension;
+    for explicitly truncated systems the rank is re-computed at a higher
+    truncation and must agree.
     """
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     if m == 0:
         return 1
-    ranks = []
-    for n_coeffs in _working_truncations(system, m, system.adapted_orders[-1]):
-        ech = _linalg.IncrementalRank()
-        for row in _product_rows(system, m, n_coeffs)[1]:
-            ech.add(row)
-        ranks.append(ech.rank)
+    total = comb(m + system.n, system.n)
+    ranks = [total - profile.kernel_dim for profile in _profiles(system, m)]
     if len(set(ranks)) != 1:
         raise TruncationTooSmall(
             f"rank unstable under raising the truncation ({ranks}); supply more coefficients")
@@ -360,30 +358,28 @@ class FiltrationProfile:
     kernel_dim: int
 
 
-def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
-    """Per-weight dimensions of the kernel of the degree-m product map."""
+def _profiles(system: JetSystem, m: int) -> list[FiltrationProfile]:
+    # The one elimination that ranks product rows, once per working
+    # truncation: rows go in by descending weight, so the rows of weight j
+    # that depend on those before them count the level-j relations.
     seq = system.adapted_orders
     profiles = []
-    for n_coeffs in _working_truncations(system, m, seq[-1]):
+    for n_coeffs in _working_truncations(system, m):
         monomials, rows = _product_rows(system, m, n_coeffs)
         weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
-        order = sorted(range(len(rows)), key=lambda i: (-weights[i], monomials[i]))
+        order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
         ech = _linalg.IncrementalRank()
         dims: dict[int, int] = {}
-        seen = 0
-        prev_nullity = 0
-        idx = 0
-        while idx < len(order):
-            w = weights[order[idx]]
-            while idx < len(order) and weights[order[idx]] == w:
-                ech.add(rows[order[idx]])
-                seen += 1
-                idx += 1
-            nullity = seen - ech.rank
-            if nullity != prev_nullity:
-                dims[w] = nullity - prev_nullity
-            prev_nullity = nullity
-        profiles.append(FiltrationProfile(m=m, dims=dims, kernel_dim=prev_nullity))
+        for i in order:
+            if not ech.add(rows[i]):
+                dims[weights[i]] = dims.get(weights[i], 0) + 1
+        profiles.append(FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank))
+    return profiles
+
+
+def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
+    """Per-weight dimensions of the kernel of the degree-m product map."""
+    profiles = _profiles(system, m)
     if len(profiles) == 2 and profiles[0] != profiles[1]:
         raise TruncationTooSmall("filtration unstable under raising the truncation")
     return profiles[0]
@@ -433,7 +429,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
     nvars = len(seq)
     one_step: dict[int, bool] = {}
     for t in range(m, t_max):
-        n_coeffs = _working_truncations(system, t, seq[-1])[-1]
+        n_coeffs = _working_truncations(system, t)[-1]
         monomials, rows = _product_rows(system, t, n_coeffs)
         # lift[pos][var] is the column of monomials[pos] * x_var among the
         # degree-(t+1) monomials, numbered in order of first appearance; for

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as F
 from math import comb
@@ -6,6 +7,8 @@ from math import comb
 import pytest
 import sympy
 from hypothesis import given, strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from spanlab import (
     DegenerateWithinTruncation,
@@ -53,6 +56,20 @@ def _naive_row(secs, xi, n_coeffs):
         for _ in range(k):
             expected = _naive_mul(expected, sec, n_coeffs)
     return {c: v for c, v in enumerate(expected) if v}
+
+
+def _sympy_rank(rows, width):
+    # Rank over the integers of sparse rows {column: value}, made dense.
+    return DomainMatrix.from_list([[row.get(c, 0) for c in range(width)] for row in rows], ZZ).rank()
+
+
+def _oracle_rank(system, m):
+    # Rank of the dense degree-m product matrix of a polynomial system, its
+    # rows multiplied out anew and ranked by sympy.
+    secs = system.integer_sections
+    n_coeffs = m * system.poly_degree + 1
+    return _sympy_rank([_naive_row(secs, xi, n_coeffs)
+                        for xi in monomials_of_degree(m, len(secs))], n_coeffs)
 
 
 _ints = st.lists(st.integers(-20, 20), max_size=8)
@@ -103,14 +120,17 @@ def _jet_systems(draw):
     return JetSystem(tuple(sections), truncation=truncation)
 
 
+_MODEL_SYSTEMS = [
+    (perturbed_system, (0, 1, 3), 1),
+    (perturbed_system, (0, 1, 2, 4), 2),
+    (perturbed_system, (0, 2, 3, 4, 7), 3),
+    (reparametrized_system, (0, 1, 2), 4),
+    (reparametrized_system, (0, 2, 3, 5), 5),
+]
+
+
 class TestProductRows:
-    @pytest.mark.parametrize("make,entries,seed", [
-        (perturbed_system, (0, 1, 3), 1),
-        (perturbed_system, (0, 1, 2, 4), 2),
-        (perturbed_system, (0, 2, 3, 4, 7), 3),
-        (reparametrized_system, (0, 1, 2), 4),
-        (reparametrized_system, (0, 2, 3, 5), 5),
-    ])
+    @pytest.mark.parametrize("make,entries,seed", _MODEL_SYSTEMS)
     def test_rows_match_naive_products(self, make, entries, seed):
         # Each row is the truncated product of sec_i^k_i over its monomial,
         # without zero entries; rows come in monomials_of_degree order.
@@ -292,6 +312,26 @@ class TestSymPowerDim:
     def test_degree_zero(self):
         assert sym_power_dim(monomial_system(validate([0, 1, 3])), 0) == 1
 
+    @pytest.mark.parametrize("make,entries,seed", _MODEL_SYSTEMS)
+    def test_model_deformations_match_sympy_rank(self, make, entries, seed):
+        system = make(validate(entries), seed=seed)
+        for m in range(4):
+            assert sym_power_dim(system, m) == _oracle_rank(system, m), m
+
+    @given(_jet_systems(), st.integers(0, 4))
+    def test_polynomial_draws_match_sympy_rank(self, system, m):
+        # Dependent sections have no adapted orders, so no rank above m = 0.
+        system = JetSystem(system.sections)
+        secs = system.integer_sections
+        width = max(map(len, secs))
+        independent = width and _sympy_rank(
+            [dict(enumerate(sec)) for sec in secs], width) == len(secs)
+        if m and not independent:
+            with pytest.raises(DegenerateWithinTruncation):
+                sym_power_dim(system, m)
+        else:
+            assert sym_power_dim(system, m) == _oracle_rank(system, m)
+
 
 class TestTruncatedMode:
     def test_explicit_truncation_accepted(self):
@@ -313,6 +353,21 @@ class TestTruncatedMode:
         exact = sym_power_dim(JetSystem(sections), 2)
         for truncation in (20, 35, 60):
             assert sym_power_dim(JetSystem(sections, truncation=truncation), 2) == exact
+
+    def test_unstable_under_raising_the_truncation(self):
+        # At m = 2 the working truncations are 9 and 11: only at 11 does the
+        # t^10 term set x_0 x_2 = t^2 + t^10 apart from x_1^2 = t^2.
+        sections = ((1,), (0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1))
+        system = JetSystem(sections, truncation=11)
+        rank_message = re.escape(
+            "rank unstable under raising the truncation ([5, 6]); supply more coefficients")
+        with pytest.raises(TruncationTooSmall, match=rank_message):
+            sym_power_dim(system, 2)
+        with pytest.raises(TruncationTooSmall, match="filtration unstable under raising the truncation"):
+            filtration_profile(system, 2)
+        with pytest.raises(TruncationTooSmall, match=rank_message):
+            check_ideal_propagation(system, 2, 3)
+        assert sym_power_dim(JetSystem(sections), 2) == 6
 
     def test_adapted_basis_guard_band(self):
         # With a guard the near-truncation order is treated as unresolved.
@@ -349,6 +404,8 @@ class TestFiltration:
                 assert profile.kernel_dim == sum(expected.values())
 
     def test_rank_nullity(self):
+        # Relations and rank add up to the monomial count, with the rank
+        # taken by sympy from the dense product matrix.
         for k in range(5):
             seq = validate([0, 1, 2, 4])
             system = perturbed_system(seq, tail=2, seed=k)
@@ -356,7 +413,7 @@ class TestFiltration:
                 profile = filtration_profile(system, m)
                 total = comb(m + seq.n, seq.n)
                 assert sum(profile.dims.values()) == profile.kernel_dim
-                assert total - profile.kernel_dim == sym_power_dim(system, m)
+                assert total - profile.kernel_dim == _oracle_rank(system, m)
 
     def test_perturbed_within_model_bounds(self):
         seq = validate([0, 1, 2])

@@ -252,12 +252,37 @@ class TestCli:
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "0"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "1"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3", "--mcap", "2"),
+        ("bounds", "hypersurfaces", "--n", "3", "--m", "1"),
+        ("jets", "estimate", "--sections-file", "absent.json", "--mlo", "1", "--mhi", "1"),
     ])
     def test_degree_cap_below_two_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
         assert "expected an integer >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,wanted", [
+        (("span", "--seq", "0,1,3", "--m", "0"), "expected a positive integer"),
+        (("ideal", "dims", "--seq", "0,1,3", "--m", "-1"), "expected an integer >= 0"),
+        (("jets", "rank", "--m", "-1"), "expected an integer >= 0"),
+        (("jets", "profile", "--m", "-1"), "expected an integer >= 0"),
+        (("jets", "maximal", "--m", "0"), "expected a positive integer"),
+        (("jets", "estimate", "--mlo", "0", "--mhi", "3"), "expected a positive integer"),
+        (("jets", "estimate", "--mlo", "3", "--mhi", "3"), "above --mlo (3), got 3"),
+        (("jets", "estimate", "--mlo", "4", "--mhi", "2"), "above --mlo (4), got 2"),
+        (("bounds", "hypersurfaces", "--n", "0", "--m", "2"), "expected a positive integer"),
+        (("bounds", "pluecker", "--n", "0", "--d", "4", "--g", "1"), "expected a positive integer"),
+        (("bounds", "pluecker", "--n", "3", "--d", "0", "--g", "1"), "expected a positive integer"),
+        (("bounds", "pluecker", "--n", "3", "--d", "4", "--g", "-1"), "expected an integer >= 0"),
+    ])
+    def test_degree_or_size_below_minimum_is_usage_error(self, capsys, tmp_path, argv, wanted):
+        # Refused before any sections file is opened: this one does not exist.
+        if argv[0] == "jets":
+            argv += ("--sections-file", str(tmp_path / "absent.json"))
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert wanted in capsys.readouterr().err
 
     def test_inputs_echo_raw_text(self, capsys):
         code, out = run_cli(capsys, "semigroup", "--gens", "5, 3", "--json")
@@ -267,8 +292,11 @@ class TestCli:
         assert envelope["result"]["generators"] == [3, 5]
 
     def test_precondition_violations_are_domain_errors(self, capsys):
-        assert run_cli(capsys, "span", "--seq", "0,1,3", "--m", "0")[0] == 1
-        assert run_cli(capsys, "bounds", "hypersurfaces", "--n", "0", "--m", "2")[0] == 1
+        # Degrees and sizes below their minimum are usage errors, exit 2;
+        # what only the library can judge stays a domain error.
+        assert run_cli(capsys, "span", "--seq", "0,3,1", "--m", "2")[0] == 1
+        assert run_cli(capsys, "bounds", "pluecker", "--n", "3", "--d", "4", "--g", "1",
+                       "--weights", "0,16")[0] == 1
 
     def test_oversized_semigroup_fails_fast(self, capsys):
         start = time.perf_counter()
