@@ -2,8 +2,10 @@
 
 ``IncrementalRank`` is the only elimination: it absorbs integer rows one at a
 time into a row echelon form, merging rows by gcd-scaled integer combinations.
-Ranks, prefix ranks (the rank after each ``add``), left kernels and pivot
-columns all come from it, so floating point never touches a rank decision.
+``add`` returns the leading column of the pivot a row adds, so one pass gives
+the rank of the rows cut below any column (the pivots leading below it) and,
+for rows extended by unit vectors, their left kernel (the pivots leading in
+the extension); floating point never touches a rank decision.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def clear_denominators(row: Sequence) -> list[int]:
@@ -35,8 +37,9 @@ def _reduce_row(row: dict[int, int]) -> dict[int, int]:
 class IncrementalRank:
     """Integer row echelon that absorbs sparse rows {column: value} one at a time.
 
-    ``add`` returns True when the row enlarged the span; ``rank`` is always
-    the exact rank of everything added so far.
+    ``add`` returns the leading column of the pivot the row added, or None
+    when the row was already in the span; ``rank`` is always the exact rank
+    of everything added so far.
     """
 
     def __init__(self):
@@ -51,14 +54,14 @@ class IncrementalRank:
         """Read-only view of the echelon rows, each keyed by its leading column."""
         return MappingProxyType(self._pivots)
 
-    def add(self, row: dict[int, int]) -> bool:
+    def add(self, row: dict[int, int]) -> Optional[int]:
         current = {c: v for c, v in row.items() if v}
         while current:
             lead = min(current)
             pivot = self._pivots.get(lead)
             if pivot is None:
                 self._pivots[lead] = _reduce_row(current)
-                return True
+                return lead
             a, b = pivot[lead], current[lead]
             g = gcd(a, b)
             fa, fb = b // g, a // g
@@ -66,31 +69,5 @@ class IncrementalRank:
             for c, v in pivot.items():
                 merged[c] = merged.get(c, 0) - fa * v
             current = {c: v for c, v in merged.items() if v}
-        return False
+        return None
 
-
-def left_kernel_basis(rows: Sequence[Mapping[int, Any]], ncols: int) -> list[list[int]]:
-    """Integer basis of {c : sum_i c_i row_i = 0} for sparse rows
-    {column: value} with columns below ``ncols``; values may be rational.
-
-    Each row is extended by the unit vector e_i in column ``ncols + i`` and
-    cleared of denominators, which scales its unit entry along with it, so
-    the extension always records the combination of the original rows.  An
-    echelon pivot whose leading column is >= ``ncols`` is zero on the rows'
-    columns: its extension is a kernel vector.  There are ``len(rows) - rank``
-    such pivots and their distinct leading columns make them independent.
-    """
-    ech = IncrementalRank()
-    for i, row in enumerate(rows):
-        *values, unit = clear_denominators([*row.values(), 1])
-        entries = dict(zip(row, values))
-        entries[ncols + i] = unit
-        ech.add(entries)
-    basis = []
-    for lead, pivot in sorted(ech.pivots.items()):
-        if lead >= ncols:
-            vec = [0] * len(rows)
-            for c, v in pivot.items():
-                vec[c - ncols] = v
-            basis.append(vec)
-    return basis

@@ -179,7 +179,7 @@ class JetSystem:
         ``DegenerateWithinTruncation`` when a section adds nothing to it."""
         ech = _linalg.IncrementalRank()
         for sec in self.integer_sections:
-            if not ech.add({c: v for c, v in enumerate(sec) if v}):
+            if ech.add({c: v for c, v in enumerate(sec) if v}) is None:
                 raise DegenerateWithinTruncation(
                     f"sections dependent up to order >= {self._known_coeffs}; raise the truncation")
         return ech.pivots
@@ -304,19 +304,26 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     return monomials, _PackedRows(values, k, n_coeffs)
 
 
-def _working_truncations(system: JetSystem, m: int) -> list[int]:
-    # Polynomial systems: one exact pass (products cannot exceed m * degree).
+def _working_truncations(system: JetSystem, m: int) -> tuple[int, ...]:
+    # Polynomial systems: one exact cut (products cannot exceed m * degree).
     # Truncated systems: the default working precision plus a stability
     # re-check one order block higher, as far as the stored data allows.
     if system.truncation is None:
-        return [m * system.poly_degree + 1]
+        return (m * system.poly_degree + 1,)
     top_order = system.adapted_orders[-1]
     needed = m * top_order + 1 + _GUARD
     if system.truncation < needed:
         raise TruncationTooSmall(
             f"need coefficients to t^{needed} for degree {m}, have {system.truncation}")
     second = min(system.truncation, needed + top_order)
-    return [needed] if second == needed else [needed, second]
+    return (needed,) if second == needed else (needed, second)
+
+
+def _stable_rank(ranks: list[int]) -> int:
+    if len(set(ranks)) != 1:
+        raise TruncationTooSmall(
+            f"rank unstable under raising the truncation ({ranks}); supply more coefficients")
+    return ranks[0]
 
 
 def sym_power_dim(system: JetSystem, m: int) -> int:
@@ -331,11 +338,7 @@ def sym_power_dim(system: JetSystem, m: int) -> int:
     if m == 0:
         return 1
     total = comb(m + system.n, system.n)
-    ranks = [total - profile.kernel_dim for profile in _profiles(system, m)]
-    if len(set(ranks)) != 1:
-        raise TruncationTooSmall(
-            f"rank unstable under raising the truncation ({ranks}); supply more coefficients")
-    return ranks[0]
+    return _stable_rank([total - profile.kernel_dim for profile in _profiles(system, m)])
 
 
 def is_m_maximal(system: JetSystem, m: int) -> bool:
@@ -359,21 +362,26 @@ class FiltrationProfile:
 
 
 def _profiles(system: JetSystem, m: int) -> list[FiltrationProfile]:
-    # The one elimination that ranks product rows, once per working
-    # truncation: rows go in by descending weight, so the rows of weight j
-    # that depend on those before them count the level-j relations.
+    # The one elimination of the degree-m product rows, cut at the highest
+    # working truncation: rows go in by descending weight, so the rows of
+    # weight j that depend on those before them count the level-j relations.
+    # Cut at a lower N1, the pivots leading at or past N1 vanish and the
+    # others stay independent (their leads are distinct), so a row depends
+    # on the rows before it exactly when it added no pivot leading below N1.
     seq = system.adapted_orders
+    cuts = _working_truncations(system, m)
+    monomials, rows = _product_rows(system, m, cuts[-1])
+    weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
+    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
+    ech = _linalg.IncrementalRank()
+    leads = [(i, ech.add(rows[i])) for i in order]
     profiles = []
-    for n_coeffs in _working_truncations(system, m):
-        monomials, rows = _product_rows(system, m, n_coeffs)
-        weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
-        order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
-        ech = _linalg.IncrementalRank()
+    for cut in cuts:
         dims: dict[int, int] = {}
-        for i in order:
-            if not ech.add(rows[i]):
+        for i, lead in leads:
+            if lead is None or lead >= cut:
                 dims[weights[i]] = dims.get(weights[i], 0) + 1
-        profiles.append(FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank))
+        profiles.append(FiltrationProfile(m=m, dims=dims, kernel_dim=sum(dims.values())))
     return profiles
 
 
@@ -411,26 +419,40 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
     if not (t_max >= m >= 2):
         raise ValueError(f"need t_max >= m >= 2, got m={m}, t_max={t_max}")
     seq = system.adapted_orders
-    quotient_dims = {m: sym_power_dim(system, m)}
-    if quotient_dims[m] != span(seq, m):
-        raise HypothesisFailed(f"system is not {m}-maximal")
-    for d in generation_scan(seq, t_max, m).generator_degrees:
-        if d > m:
-            raise HypothesisFailed(
-                f"degree-{d} relations of {seq.entries} are not generated in degree {m}")
-
-    for t in range(m + 1, t_max + 1):
-        dim = sym_power_dim(system, t)
-        if dim != span(seq, t):
+    quotient_dims, relations = {}, {}
+    for t in range(m, t_max + 1):
+        if t == t_max:
+            dim = sym_power_dim(system, t)
+        else:
+            # One pass per degree: row i is extended by the unit vector in
+            # column N + i, N the highest cut, so the pivots leading below
+            # each cut give the rank there and those leading at or past N are
+            # a basis of the relations, as combinations of the rows.
+            cuts = _working_truncations(system, t)
+            n_coeffs = cuts[-1]
+            monomials, rows = _product_rows(system, t, n_coeffs)
+            ech = _linalg.IncrementalRank()
+            for i, row in enumerate(rows):
+                row[n_coeffs + i] = 1
+                ech.add(row)
+            dim = _stable_rank([sum(lead < cut for lead in ech.pivots) for cut in cuts])
+            relations[t] = monomials, [[(c - n_coeffs, v) for c, v in pivot.items()]
+                                       for lead, pivot in ech.pivots.items() if lead >= n_coeffs]
+        if t == m:
+            if dim != span(seq, m):
+                raise HypothesisFailed(f"system is not {m}-maximal")
+            for d in generation_scan(seq, t_max, m).generator_degrees:
+                if d > m:
+                    raise HypothesisFailed(
+                        f"degree-{d} relations of {seq.entries} are not generated in degree {m}")
+        elif dim != span(seq, t):
             raise PropagationFailed(f"system failed to be {t}-maximal (dim {dim})")
         quotient_dims[t] = dim
     kernel_dims = {t: comb(t + seq.n, seq.n) - dim for t, dim in quotient_dims.items()}
 
     nvars = len(seq)
     one_step: dict[int, bool] = {}
-    for t in range(m, t_max):
-        n_coeffs = _working_truncations(system, t)[-1]
-        monomials, rows = _product_rows(system, t, n_coeffs)
+    for t, (monomials, kernel) in relations.items():
         # lift[pos][var] is the column of monomials[pos] * x_var among the
         # degree-(t+1) monomials, numbered in order of first appearance; for
         # a fixed var it is injective, so shifting merges no entries.
@@ -438,8 +460,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
         lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
                  for var in range(nvars)] for xi in monomials]
         shifted = _linalg.IncrementalRank()
-        for vec in _linalg.left_kernel_basis(rows, n_coeffs):
-            entries = [(pos, c) for pos, c in enumerate(vec) if c]
+        for entries in kernel:
             for var in range(nvars):
                 shifted.add({lift[pos][var]: c for pos, c in entries})
         # The shifted relations always sit inside the degree-(t+1) kernel, so

@@ -35,7 +35,9 @@ from spanlab import (
     sym_power_dim,
     validate,
 )
-from spanlab.jets import _mul, _pack, _product_rows, _unpack
+from spanlab import _linalg, jets
+from spanlab.jets import (
+    FiltrationProfile, _mul, _pack, _product_rows, _profiles, _unpack, _working_truncations)
 
 
 def _naive_mul(a, b, cap=None):
@@ -392,6 +394,74 @@ class TestTruncatedMode:
             adapted_basis(system, guard=4)
 
 
+def _count_product_rows(monkeypatch):
+    # The (degree, cut) of each _product_rows call made through jets.
+    calls = []
+
+    def counting(system, m, n_coeffs):
+        calls.append((m, n_coeffs))
+        return _product_rows(system, m, n_coeffs)
+
+    monkeypatch.setattr(jets, "_product_rows", counting)
+    return calls
+
+
+def _two_pass_profile(system, m, n_coeffs):
+    # The profile of the rows cut at n_coeffs, eliminated on their own: by
+    # descending weight, each row that leaves the rank unchanged is a relation.
+    seq = system.adapted_orders
+    monos, rows = _product_rows(system, m, n_coeffs)
+    weights = [sum(a * k for a, k in zip(seq, xi)) for xi in monos]
+    ech = _linalg.IncrementalRank()
+    dims = {}
+    for i in sorted(range(len(rows)), key=lambda i: -weights[i]):
+        rank = ech.rank
+        ech.add(rows[i])
+        if ech.rank == rank:
+            dims[weights[i]] = dims.get(weights[i], 0) + 1
+    return FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank)
+
+
+class TestCutReading:
+    # _profiles eliminates the rows once, cut at the highest working
+    # truncation, and reads the lower cut from the pivots' leading columns;
+    # a pass per cut must agree with it, dims in the same order.
+    @staticmethod
+    def check(system, m):
+        expected = [_two_pass_profile(system, m, cut) for cut in _working_truncations(system, m)]
+        got = _profiles(system, m)
+        assert got == expected
+        assert [list(p.dims.items()) for p in got] == [list(p.dims.items()) for p in expected]
+
+    @given(_jet_systems(), st.integers(0, 4), st.integers(0, 24))
+    def test_truncated_draws(self, system, m, raise_by):
+        # The draw's truncation, raised so that higher degrees fit in it.
+        if system.truncation is None:
+            return
+        system = JetSystem(system.sections, truncation=system.truncation + raise_by)
+        try:
+            _working_truncations(system, m)
+        except (DegenerateWithinTruncation, TruncationTooSmall):
+            return
+        self.check(system, m)
+
+    @pytest.mark.parametrize("top", [
+        (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1),  # x_0 x_2 - x_1^2 = t^10: ranks [5, 6]
+        (0, 0, 1, 0, 0, 0, 0, 0, 0, 1),  # = t^9, a pivot leading at the lower cut
+    ])
+    def test_relation_lost_above_the_lower_cut(self, top):
+        system = JetSystem(((1,), (0, 1), top), truncation=11)
+        assert _working_truncations(system, 2) == (9, 11)
+        self.check(system, 2)
+        assert [p.kernel_dim for p in _profiles(system, 2)] == [1, 0]
+
+    def test_rows_built_once(self, monkeypatch):
+        system = JetSystem(((1,), (0, 1), (0, 0, 1)), truncation=30)
+        calls = _count_product_rows(monkeypatch)
+        assert filtration_profile(system, 2).kernel_dim == 1
+        assert calls == [(2, 11)]
+
+
 class TestFiltration:
     def test_monomial_model_attains_class_counts(self):
         for entries in [(0, 1, 2), (0, 1, 3), (0, 1, 2, 4)]:
@@ -429,9 +499,7 @@ class TestFiltration:
         # Independent oracle: for each weight level, build the submatrix of
         # products of monomials with weight >= j and take its kernel
         # dimension directly; level sizes must match the incremental profile.
-        from spanlab._linalg import left_kernel_basis
-        from spanlab.jets import _product_rows
-        from spanlab import adapted_basis, monomials_of_degree, weight
+        from spanlab import adapted_basis, weight
 
         for entries, seed in [((0, 1, 3), 2), ((0, 1, 2, 4), 5)]:
             base = validate(entries)
@@ -445,9 +513,7 @@ class TestFiltration:
 
             def nullity_at_least(j):
                 sub = [rows[i] for i, xi in enumerate(monos) if weight(xi, seq) >= j]
-                if not sub:
-                    return 0
-                return len(left_kernel_basis(sub, n_coeffs))
+                return len(sub) - _sympy_rank(sub, n_coeffs) if sub else 0
 
             for idx, w in enumerate(weights):
                 above = weights[idx + 1] if idx + 1 < len(weights) else w + 1
@@ -460,6 +526,12 @@ class TestPropagation:
         report = check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5)
         assert report.quotient_dims == {t: 3 * t + 1 for t in range(2, 6)}
         assert all(report.one_step_generates.values())
+
+    def test_rows_built_once_per_degree(self, monkeypatch):
+        # One pass per degree gives both the rank and the relations.
+        calls = _count_product_rows(monkeypatch)
+        check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5)
+        assert [m for m, _ in calls] == [2, 3, 4, 5]
 
     def test_jump_model(self):
         report = check_ideal_propagation(monomial_system(near_ap_high(3, 1)), 2, 5)

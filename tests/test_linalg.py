@@ -2,10 +2,25 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from spanlab._linalg import IncrementalRank, clear_denominators, left_kernel_basis
+from spanlab import (
+    HypothesisFailed,
+    JetSystem,
+    PropagationFailed,
+    TruncationTooSmall,
+    check_ideal_propagation,
+    monomial_system,
+    near_ap_high,
+    perturbed_system,
+    reparametrized_system,
+    validate,
+)
+from spanlab import _linalg
+from spanlab._linalg import IncrementalRank, clear_denominators
+from spanlab.jets import _product_rows, _working_truncations
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -14,12 +29,6 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
     basis = [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rank_cap)]
     return [[sum(rng.randint(-3, 3) * basis[b][c] for b in range(rank_cap))
              for c in range(cols)] for _ in range(rows)]
-
-
-def _matrices(entries):
-    # Up to 8x8, every row of the same length.
-    return st.integers(1, 8).flatmap(lambda ncols: st.lists(
-        st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
 
 
 def sparse(m):
@@ -33,15 +42,70 @@ def rank(m):
     return ech.rank
 
 
-def check_left_kernel(m):
-    nrows, ncols = len(m), len(m[0])
-    basis = left_kernel_basis(sparse(m), ncols)
-    assert len(basis) == nrows - sympy.Matrix(m).rank()
-    for coeffs in basis:
+def propagation_relations(system, m, t_max):
+    # For each degree t in [m, t_max) that check_ideal_propagation reached,
+    # the dense product rows cut at the highest working truncation N and
+    # the relations its pass read: the pivots of the echelon that absorbed
+    # those rows, row i extended by the unit vector in column N + i, whose
+    # leading column is >= N, shifted down by N.
+    echelons = []
+
+    class Recording(IncrementalRank):
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+            echelons.append(self)
+
+        def add(self, row):
+            self.rows.append(dict(row))
+            return super().add(row)
+
+    system.adapted_orders  # the sections' own echelon is not recorded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "IncrementalRank", Recording)
+        try:
+            check_ideal_propagation(system, m, t_max)
+        except (HypothesisFailed, PropagationFailed, TruncationTooSmall):
+            pass
+    found = {}
+    for t in range(m, t_max):
+        try:
+            n_coeffs = _working_truncations(system, t)[-1]
+        except TruncationTooSmall:
+            break
+        rows = list(_product_rows(system, t, n_coeffs)[1])
+        extended = [{**row, n_coeffs + i: 1} for i, row in enumerate(rows)]
+        passes = [ech for ech in echelons if ech.rows == extended]
+        if not passes:
+            break  # an earlier check raised before degree t
+        assert len(passes) == 1, t
+        dense = [[row.get(c, 0) for c in range(n_coeffs)] for row in rows]
+        relations = [[pivot.get(n_coeffs + i, 0) for i in range(len(rows))]
+                     for lead, pivot in passes[0].pivots.items() if lead >= n_coeffs]
+        found[t] = dense, relations
+    return found
+
+
+def check_relations(dense, relations):
+    nrows, ncols = len(dense), len(dense[0])
+    assert len(relations) == nrows - sympy.Matrix(dense).rank()
+    for coeffs in relations:
         assert all(type(c) is int for c in coeffs)
-        assert all(sum(coeffs[i] * m[i][c] for i in range(nrows)) == 0 for c in range(ncols))
-    if basis:
-        assert sympy.Matrix(basis).rank() == len(basis)
+        assert all(sum(coeffs[i] * dense[i][c] for i in range(nrows)) == 0 for c in range(ncols))
+    if relations:
+        assert sympy.Matrix(relations).rank() == len(relations)
+
+
+@st.composite
+def _systems(draw):
+    # Sections t^a plus integer or rational tails at distinct orders a, so
+    # they are independent; some declare a truncation above their sections.
+    orders = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True))
+    entries = st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=4)
+    sections = [(0,) * a + (1,) + tuple(draw(st.lists(entries, max_size=3))) for a in orders]
+    longest = max(map(len, sections))
+    truncation = draw(st.none() | st.integers(longest, 40))
+    return JetSystem(tuple(sections), truncation=truncation)
 
 
 class TestRank:
@@ -58,11 +122,23 @@ class TestRank:
             assert rank(m) == sympy.Matrix(m).rank() == expected
 
     def test_incremental_matches_batch(self):
+        # add returns the leading column of the one pivot a row adds, which
+        # is that pivot's least column, or None when the row adds none.
         rng = random.Random(1)
         m = random_matrix(rng, 10, 6, rank_cap=3)
         ech = IncrementalRank()
-        grew = [ech.add(row) for row in sparse(m)]
-        assert ech.rank == sympy.Matrix(m).rank() == sum(grew)
+        leads = []
+        for row in sparse(m):
+            before = dict(ech.pivots)
+            lead = ech.add(row)
+            if lead is None:
+                assert dict(ech.pivots) == before
+            else:
+                assert set(ech.pivots) - set(before) == {lead}
+                assert lead == min(ech.pivots[lead])
+            leads.append(lead)
+        assert leads[0] == 0 and None in leads
+        assert ech.rank == sympy.Matrix(m).rank() == sum(lead is not None for lead in leads)
 
     def test_zero_and_empty(self):
         assert rank([]) == 0
@@ -78,22 +154,25 @@ class TestRank:
 
 
 class TestKernels:
-    def test_left_kernel_annihilates_rows(self):
-        rng = random.Random(4)
-        m = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(6)] for _ in range(8)]
-        basis = left_kernel_basis(sparse(m), 6)
-        assert len(basis) == 8 - sympy.Matrix(m).rank()
-        for coeffs in basis:
-            combo = [sum(coeffs[i] * m[i][c] for i in range(8)) for c in range(6)]
-            assert all(x == 0 for x in combo)
+    # The relations check_ideal_propagation shifts to the next degree come
+    # from its one pass per degree, checked against sympy.
+    @pytest.mark.parametrize("system,degrees", [
+        (monomial_system(validate([0, 1, 2, 3])), {2, 3}),
+        # Not 2-maximal: the pass at degree 2 runs before the hypothesis fails.
+        (perturbed_system(validate([0, 1, 3]), tail=2, seed=4), {2}),
+        (reparametrized_system(near_ap_high(3, 1), tail=1, seed=3), {2, 3}),
+        (JetSystem(((1,), (0, 1), (0, 0, 1)), truncation=30), {2, 3}),
+    ])
+    def test_relations_annihilate_product_rows(self, system, degrees):
+        found = propagation_relations(system, 2, 4)
+        assert set(found) == degrees
+        for dense, relations in found.values():
+            check_relations(dense, relations)
 
-    @given(_matrices(st.integers(-3, 3)))
-    def test_left_kernel_against_sympy_on_ints(self, m):
-        check_left_kernel(m)
-
-    @given(_matrices(st.fractions(-3, 3, max_denominator=4)))
-    def test_left_kernel_against_sympy_on_fractions(self, m):
-        check_left_kernel(m)
+    @given(_systems(), st.integers(2, 3))
+    def test_relations_against_sympy(self, system, m):
+        for dense, relations in propagation_relations(system, m, m + 1).values():
+            check_relations(dense, relations)
 
 
 def test_clear_denominators():
