@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals by one fraction-free elimination.
+"""Exact linear algebra on integer rows by one fraction-free elimination.
 
 ``IncrementalRank`` is the only elimination: it absorbs integer rows one at a
 time into a row echelon form, merging rows by gcd-scaled integer combinations.
@@ -10,21 +10,9 @@ the extension); floating point never touches a rank decision.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
-
-
-def clear_denominators(row: Sequence) -> list[int]:
-    """Scale a rational row to integers (row scaling preserves rank/kernels)."""
-    lcm = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    return [x.numerator * (lcm // x.denominator) if isinstance(x, Fraction) else int(x) * lcm
-            for x in row]
+from typing import Mapping, Optional
 
 
 def _reduce_row(row: dict[int, int]) -> dict[int, int]:

@@ -85,8 +85,6 @@ def _load_sections(path: str) -> JetSystem:
         raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
     try:
         return JetSystem(tuple(tuple(map(str, sec)) for sec in raw))
-    except ZeroDivisionError:
-        raise ValueError(f"{path}: a coefficient has a zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -379,6 +379,8 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
 
     Both monomials must have equal degree and equal weight.  When they sit in
     different components, returns the component ids instead of a trace.
+    Raises ``EnumerationTooLarge`` before the positions the search builds,
+    at one entry per variable each, would exceed ``MAX_ENUMERATED_ENTRIES``.
     """
     if len(xi) != len(seq) or len(eta) != len(seq):
         raise LengthMismatch("exponent tuples must match the sequence length")
@@ -390,6 +392,8 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
     if xi == eta:
         return []
     targets = _pair_targets(seq)
+    # Every position built counts, seen before or not, one entry per variable.
+    built, max_built = 0, MAX_ENUMERATED_ENTRIES // len(seq)
     parent: dict[Monomial, tuple[Monomial, Move]] = {xi: (xi, ((0, 0), (0, 0)))}
     frontier = [xi]
     while frontier:
@@ -406,6 +410,11 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
                     moves = targets[i][j]
                     if not moves:
                         continue
+                    built += len(moves)
+                    if built > max_built:
+                        raise EnumerationTooLarge(
+                            f"{built * len(seq)} entries for the move search from {xi} "
+                            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
                     base = list(pos)
                     base[i] -= 1
                     base[j] -= 1

@@ -84,15 +84,10 @@ def _sumset_bits(seq: VanishingSequence, m: int) -> int:
 
 def power_sumset(seq: VanishingSequence, m: int) -> SumsetTable:
     """All sums of exactly ``m`` entries of the sequence, with repetition."""
-    mask = _sumset_bits(seq, m)
-    values = []
-    k = 0
-    while mask:
-        if mask & 1:
-            values.append(k)
-        mask >>= 1
-        k += 1
-    return SumsetTable(seq, m, tuple(values))
+    # Bit k of the mask is character k of its binary text read backwards:
+    # one pass over the bits, where shifting the mask down each time is quadratic.
+    bits = bin(_sumset_bits(seq, m))[:1:-1]
+    return SumsetTable(seq, m, tuple(k for k, bit in enumerate(bits) if bit == "1"))
 
 
 def span(seq: VanishingSequence, m: int) -> int:

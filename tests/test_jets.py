@@ -2,7 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -37,7 +37,7 @@ from spanlab import (
 )
 from spanlab import _linalg, jets
 from spanlab.jets import (
-    FiltrationProfile, _mul, _pack, _product_rows, _profiles, _unpack, _working_truncations)
+    FiltrationProfile, _pack, _product_rows, _profiles, _unpack, _working_truncations)
 
 
 def _naive_mul(a, b, cap=None):
@@ -74,24 +74,64 @@ def _oracle_rank(system, m):
                         for xi in monomials_of_degree(m, len(secs))], n_coeffs)
 
 
-_ints = st.lists(st.integers(-20, 20), max_size=8)
 _fractions = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=8)
 
 
-class TestMul:
-    @given(_ints, _ints)
-    def test_matches_double_loop_on_ints(self, a, b):
-        assert _mul(a, b) == _naive_mul(a, b)
+def _schoolbook_reparametrized(seq, tail, seed):
+    # The sections of reparametrized_system with u^a multiplied out one
+    # factor at a time over the rationals.
+    rng = random.Random(seed)
+    u = [F(0), F(1)] + [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(tail)]
+    powers = [[F(1)]]
+    for _ in range(seq[-1]):
+        powers.append(_naive_mul(powers[-1], u))
+    sections = [powers[a] for a in seq]
+    for j in range(len(sections)):
+        for i in range(j + 1, len(sections)):
+            gamma = rng.randint(-2, 2)
+            if gamma:
+                longer = max(len(sections[j]), len(sections[i]))
+                merged = sections[j] + [F(0)] * (longer - len(sections[j]))
+                for k, c in enumerate(sections[i]):
+                    merged[k] += gamma * c
+                sections[j] = merged
+    return JetSystem(tuple(map(tuple, sections))).sections
 
-    @given(_fractions, _fractions)
-    def test_matches_double_loop_on_fractions(self, a, b):
-        assert _mul(a, b) == _naive_mul(a, b)
+
+class TestReparametrized:
+    def test_packed_powers_match_schoolbook(self):
+        for seq in normalized_sequences(1, 4, 9):
+            for seed in range(3):
+                for tail in (0, 1, 3):
+                    system = reparametrized_system(seq, tail=tail, seed=seed)
+                    assert system.sections == _schoolbook_reparametrized(seq, tail, seed)
 
 
 class TestCoefficientText:
     def test_rationals_as_text(self):
         system = JetSystem((("1",), ("0", "-1/2", "0.25")))
         assert system.sections == ((F(1),), (F(0), F(-1, 2), F(1, 4)))
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ValueError, match="^a coefficient has a zero denominator$"):
+            JetSystem(((text,), (0, 1)))
+
+    def test_trailing_zeros_dropped(self):
+        system = JetSystem((("1", "0", "0/5"), (0, 1, 0)))
+        assert system.sections == ((F(1),), (F(0), F(1)))
+
+    @given(st.lists(_fractions, min_size=2, max_size=4))
+    def test_integer_sections_scale_by_the_lcm(self, sections):
+        # Each section times the lcm of its denominators, the lcm taken
+        # here pairwise through gcd.
+        system = JetSystem(tuple(map(tuple, sections)))
+        for sec, ints in zip(system.sections, system.integer_sections):
+            d = 1
+            for c in sec:
+                d = d * c.denominator // gcd(d, c.denominator)
+            assert ints == tuple(int(c * d) for c in sec)
+            assert all(type(v) is int for v in ints)
 
     @pytest.mark.parametrize("text", ["1e1000000000", "1E5", "-2.5e-3", "1/1e9"])
     def test_exponent_notation_rejected_at_once(self, text):

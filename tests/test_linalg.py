@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as F
 from math import gcd
 
 import pytest
@@ -19,7 +18,7 @@ from spanlab import (
     validate,
 )
 from spanlab import _linalg
-from spanlab._linalg import IncrementalRank, clear_denominators
+from spanlab._linalg import IncrementalRank
 from spanlab.jets import _product_rows, _working_truncations
 
 
@@ -173,10 +172,3 @@ class TestKernels:
     def test_relations_against_sympy(self, system, m):
         for dense, relations in propagation_relations(system, m, m + 1).values():
             check_relations(dense, relations)
-
-
-def test_clear_denominators():
-    row = [F(1, 2), F(2, 3), 1]
-    cleared = clear_denominators(row)
-    assert cleared == [3, 4, 6]
-    assert clear_denominators([0, 5]) == [0, 5]

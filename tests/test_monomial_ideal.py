@@ -216,6 +216,22 @@ class TestMoveTrace:
         with pytest.raises(PreconditionViolated):
             move_trace((-1, 1, 1), (1, 1, -1), validate([0, 1, 2]))
 
+    def test_search_budget(self, monkeypatch):
+        # Each position the search builds costs one entry per variable: the
+        # one move out of (1, 0, 1) builds one position of three entries.
+        seq = validate([0, 1, 2])
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", 2)
+        with pytest.raises(EnumerationTooLarge, match="^3 entries for the move search"):
+            move_trace((1, 0, 1), (0, 2, 0), seq)
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", 3)
+        assert move_trace((1, 0, 1), (0, 2, 0), seq) == [((0, 2), (1, 1))]
+
+    def test_near_pair_at_high_degree_within_budget(self):
+        # About 215,000 entries, well under the limit.
+        seq = validate([4, 7, 10, 13, 16, 19, 22, 25, 31])
+        trace = move_trace((4, 1, 0, 0, 0, 0, 0, 0, 4), (0, 0, 0, 0, 8, 1, 0, 0, 0), seq)
+        assert not isinstance(trace, NonEquivalent)
+
     def test_replay_reaches_target(self):
         seq = ap_sequence(3, 1)
         rng = random.Random(5)

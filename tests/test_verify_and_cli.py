@@ -312,6 +312,23 @@ class TestCli:
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
 
+    def test_long_sumset_values_read_in_one_pass(self, capsys):
+        # 10-fold sums up to 1,000,000: at the limit, and still fast.
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "span", "--seq", "0,1,100000", "--m", "10", "--json")
+        assert time.perf_counter() - start < 1.0
+        result = json.loads(out)["result"]
+        assert code == 0 and result["span"] == 66
+        assert result["values"] == sorted(i + 100000 * j for j in range(11) for i in range(11 - j))
+
+    def test_far_move_search_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["game", "trace", "--seq", "0,1,2,3,4,5,6,7,8",
+                     "--from", "30,0,0,0,0,0,0,0,30", "--to", "0,0,0,0,60,0,0,0,0"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "exceed the limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["ideal", "dims", "--seq", ",".join(map(str, range(16))), "--m", "20"],
         ["jets", "rank", "--m", "40"],
