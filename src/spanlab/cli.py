@@ -79,12 +79,19 @@ def _int_at_least(low: int):
 def _load_sections(path: str) -> JetSystem:
     # Non-integer numbers are kept as the text written, so 0.0000001 is read
     # exactly and 1e-7 meets the same exponent check as the string "1e-7".
+    # Any other value (true, null, NaN, an array) is named as the file
+    # writes it; bool is an int subclass, so it is named first.
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh, parse_float=str)
     if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
         raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
+    for sec in raw:
+        for value in sec:
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError(f"{path}: invalid coefficient {json.dumps(value)}: "
+                                 "write an integer, a decimal or p/q")
     try:
-        return JetSystem(tuple(tuple(map(str, sec)) for sec in raw))
+        return JetSystem(tuple(map(tuple, raw)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -315,7 +322,6 @@ def _cmd_verify(args):
         random_trials=args.trials,
         seed=args.seed,
         m_cap=args.mcap,
-        report_path=args.out,
         falsify_oracle=args.falsify_oracle,
     )
     if args.suite == "all":
@@ -323,6 +329,12 @@ def _cmd_verify(args):
     else:
         reports = [run_suite(args.suite, cfg)]
     result = [r.to_dict() for r in reports]
+    if args.out:
+        # Written before anything is printed: a path that cannot be written
+        # is a domain error (exit 1) with nothing on stdout.
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(result if args.suite == "all" else result[0], fh, indent=2, sort_keys=True)
+            fh.write("\n")
     lines = []
     for r in reports:
         status = "pass" if r.passed else f"FAIL ({len(r.failures)} failures)"

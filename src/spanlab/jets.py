@@ -40,7 +40,7 @@ _GUARD = 4  # default slack above m*a_n for truncated-mode working precision
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         # Fraction would compute 10**exponent exactly: "1e1000000000"
@@ -177,7 +177,8 @@ class JetSystem:
         for sec in self.integer_sections:
             if ech.add({c: v for c, v in enumerate(sec) if v}) is None:
                 raise DegenerateWithinTruncation(
-                    f"sections dependent up to order >= {self._known_coeffs}; raise the truncation")
+                    "sections are linearly dependent" if self.truncation is None else
+                    f"sections dependent up to order >= {self.truncation}; raise the truncation")
         return ech.pivots
 
     @cached_property

@@ -1,15 +1,15 @@
 """Deterministic verification sweeps.
 
 Each suite re-checks one cluster of the library's claims over an exhaustive or
-seeded-random family and returns a machine-readable report.  Reports are
-byte-identical across runs with the same configuration (timings aside).  The
-``falsify_oracle`` flag deliberately corrupts one expected value per suite so
-the harness itself can be shown to catch failures.
+seeded-random family, the one the paper states, and returns a
+machine-readable report; ``spanlab verify --out`` writes reports to a file.
+Reports are byte-identical across runs with the same configuration (timings
+aside).  The ``falsify_oracle`` flag deliberately corrupts one expected value
+per suite so the harness itself can be shown to catch failures.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -44,15 +44,15 @@ from .span import Verdict, classify, span, span_sequence
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Family bounds and seeds for a sweep; unset fields use suite defaults."""
+    """Seed and size overrides for a sweep; unset sizes use suite defaults.
 
-    n_range: Optional[tuple[int, int]] = None
+    The ranges of n and m are fixed per suite: they are the paper's.
+    """
+
     max_entry: Optional[int] = None
-    m_range: Optional[tuple[int, int]] = None
     random_trials: Optional[int] = None
     seed: int = 0
     m_cap: Optional[int] = None
-    report_path: Optional[str] = None
     falsify_oracle: bool = False
 
 
@@ -152,14 +152,11 @@ def _derived_seed(base: int, seq: VanishingSequence, index: int) -> int:
 def _suite_extremal_spans(cfg: SweepConfig, ck: _Checks) -> None:
     # Exhaustive check of the extremal-span classification: minimal span
     # exactly for arithmetic progressions, then a gap, then the near-AP value.
-    n_lo, n_hi = cfg.n_range or (1, 6)
-    max_entry = cfg.max_entry or 12
-    m_lo, m_hi = cfg.m_range or (2, 5)
-    for seq in normalized_sequences(n_lo, n_hi, max_entry):
+    for seq in normalized_sequences(1, 6, cfg.max_entry or 12):
         n = seq.n
-        verdict = classify(seq, m_lo).verdict
-        spans = span_sequence(seq, m_hi)
-        for m in range(m_lo, m_hi + 1):
+        verdict = classify(seq, 2).verdict
+        spans = span_sequence(seq, 5)
+        for m in range(2, 6):
             s = spans[m - 1]
             ck.case(seq=list(seq.entries), m=m)
             ck.true("lower_bound", s >= m * n + 1 + ck.bias)
@@ -194,13 +191,10 @@ def _suite_dimension_agreement(cfg: SweepConfig, ck: _Checks) -> None:
     # Three independent computations of the same dimension must agree:
     # sumset span, weight tally of degree-m monomials, and the exact rank of
     # degree-m products of monomial jets.
-    n_lo, n_hi = cfg.n_range or (1, 4)
-    max_entry = cfg.max_entry or 8
-    m_lo, m_hi = cfg.m_range or (1, 5)
-    for seq in normalized_sequences(n_lo, n_hi, max_entry):
+    for seq in normalized_sequences(1, 4, cfg.max_entry or 8):
         system = monomial_system(seq)
-        spans = span_sequence(seq, m_hi)
-        for m in range(m_lo, m_hi + 1):
+        spans = span_sequence(seq, 5)
+        for m in range(1, 6):
             dims = bigraded_dims(seq, m)
             rank_dim = sym_power_dim(system, m)
             ck.case(seq=list(seq.entries), m=m)
@@ -213,9 +207,7 @@ def _suite_dimension_agreement(cfg: SweepConfig, ck: _Checks) -> None:
 def _suite_hilbert_stabilization(cfg: SweepConfig, ck: _Checks) -> None:
     # The span eventually follows the line degree*m + 1 - genus, and the
     # threshold is always observed within the scanned range.
-    n_lo, n_hi = cfg.n_range or (1, 5)
-    max_entry = cfg.max_entry or 10
-    for seq in normalized_sequences(n_lo, n_hi, max_entry):
+    for seq in normalized_sequences(1, 5, cfg.max_entry or 10):
         lead, const = hilbert_polynomial(seq)
         m_cap = cfg.m_cap or 4 * lead
         spans = span_sequence(seq, m_cap)
@@ -233,14 +225,13 @@ def _suite_quadric_generation(cfg: SweepConfig, ck: _Checks) -> None:
     # For progressions and near-progressions every equal-weight class stays
     # connected under two-piece moves, in every degree up to the cap; and
     # connectivity survives multiplication by an arbitrary monomial.
-    m_lo, m_hi = cfg.m_range or (3, 6)
     rng = random.Random(cfg.seed)
     family: list[VanishingSequence] = []
     family.extend(ap_sequence(n, d) for n in range(2, 6) for d in (1, 2, 3))
     family.extend(near_ap_high(n, d) for n in range(3, 6) for d in (1, 2))
     family.extend(near_ap_low(n, d) for n in range(3, 6) for d in (1, 2))
     for seq in family:
-        for m in range(m_lo, m_hi + 1):
+        for m in range(3, 7):
             rep = equivalence_report(seq, m, 2)
             ck.case(seq=list(seq.entries), m=m)
             ck.equal("connected", rep.weight_classes + ck.bias, rep.components)
@@ -291,11 +282,9 @@ def _suite_perturbation_bounds(cfg: SweepConfig, ck: _Checks) -> None:
     # at least the sumset span, and each weight level of the relation space
     # stays within the monomial model's count.  Some perturbation must be
     # strict, otherwise the bound would be an equality and say nothing.
-    n_lo, n_hi = cfg.n_range or (1, 3)
-    max_entry = cfg.max_entry or 6
     trials = cfg.random_trials or 200
     strict = 0
-    for seq in normalized_sequences(n_lo, n_hi, max_entry):
+    for seq in normalized_sequences(1, 3, cfg.max_entry or 6):
         spans = span_sequence(seq, 3)
         model_counts = {m: bigraded_dims(seq, m).weight_counts for m in (2, 3)}
         for k in range(trials):
@@ -352,16 +341,15 @@ def _suite_maximality_transfer(cfg: SweepConfig, ck: _Checks) -> None:
 def _suite_bound_instantiation(cfg: SweepConfig, ck: _Checks) -> None:
     # Monomial jets meet the closed-form hypersurface counts exactly:
     # progressions the maximal count, the jump sequence the next one.
-    m_lo, m_hi = cfg.m_range or (2, 4)
     for n in range(2, 6):
         system = monomial_system(ap_sequence(n, 1))
-        for m in range(m_lo, m_hi + 1):
+        for m in range(2, 5):
             got = comb(m + n, n) - sym_power_dim(system, m)
             ck.case(n=n, m=m, family="progression")
             ck.equal("max_count", bounds_mod.max_hypersurfaces(n, m) + ck.bias, got)
     for n in range(3, 6):
         system = monomial_system(near_ap_high(n, 1))
-        for m in range(m_lo, m_hi + 1):
+        for m in range(2, 5):
             got = comb(m + n, n) - sym_power_dim(system, m)
             ck.case(n=n, m=m, family="jump")
             ck.equal("next_count", bounds_mod.next_hypersurface_bound(n, m), got)
@@ -399,7 +387,7 @@ SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(suite_id: str, cfg: Optional[SweepConfig] = None) -> SuiteReport:
-    """Run one suite and return its report (optionally written to cfg.report_path)."""
+    """Run one suite and return its report."""
     cfg = cfg or SweepConfig()
     runner = _SUITES.get(suite_id)
     if runner is None:
@@ -407,22 +395,10 @@ def run_suite(suite_id: str, cfg: Optional[SweepConfig] = None) -> SuiteReport:
     start = time.perf_counter()
     ck = _Checks(cfg.falsify_oracle)
     runner(cfg, ck)
-    report = SuiteReport(suite=suite_id, checked=ck.cases, failures=ck.failures,
-                         seconds=time.perf_counter() - start)
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
+    return SuiteReport(suite=suite_id, checked=ck.cases, failures=ck.failures,
+                       seconds=time.perf_counter() - start)
 
 
 def run_all(cfg: Optional[SweepConfig] = None) -> list[SuiteReport]:
     """Run every suite in ``SUITE_IDS`` order."""
-    cfg = cfg or SweepConfig()
-    inner = SweepConfig(**{**cfg.__dict__, "report_path": None})
-    reports = [run_suite(sid, inner) for sid in SUITE_IDS]
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return reports
+    return [run_suite(sid, cfg) for sid in SUITE_IDS]

@@ -117,6 +117,12 @@ class TestCoefficientText:
         with pytest.raises(ValueError, match="^a coefficient has a zero denominator$"):
             JetSystem(((text,), (0, 1)))
 
+    @pytest.mark.parametrize("value", [True, False, None])
+    def test_non_numbers_rejected(self, value):
+        # bool is an int subclass: True must not be read as 1.
+        with pytest.raises(TypeError, match="as an exact rational"):
+            JetSystem(((value,), (0, 1)))
+
     def test_trailing_zeros_dropped(self):
         system = JetSystem((("1", "0", "0/5"), (0, 1, 0)))
         assert system.sections == ((F(1),), (F(0), F(1)))
@@ -286,13 +292,18 @@ class TestAdaptedBasis:
             assert _order(b) == a
             assert b[a] == 1
 
-    def test_dependent_sections(self):
+    @pytest.mark.parametrize("truncation,message", [
+        (None, "^sections are linearly dependent$"),
+        (3, "order >= 3; raise the truncation"),
+    ], ids=["polynomial", "truncated"])
+    def test_dependent_sections(self, truncation, message):
         # Raises on every call: a failed triangularization is not cached.
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))))
+        # Only a truncated system has a truncation to raise.
+        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))), truncation=truncation)
         for _ in range(2):
-            with pytest.raises(DegenerateWithinTruncation):
+            with pytest.raises(DegenerateWithinTruncation, match=message):
                 adapted_basis(system)
-            with pytest.raises(DegenerateWithinTruncation):
+            with pytest.raises(DegenerateWithinTruncation, match=message):
                 sym_power_dim(system, 2)
 
     def test_orders_match_basis(self):

@@ -98,19 +98,10 @@ class TestSuites:
         assert len(report.failures) == count
         assert report.failures[0] == first
 
-    def test_report_written(self, tmp_path):
-        path = tmp_path / "report.json"
-        report = run_suite("prop37", SweepConfig(report_path=str(path)))
-        on_disk = json.loads(path.read_text())
-        assert on_disk == report.to_dict()
-
-    def test_run_all_aggregates(self, tmp_path):
-        path = tmp_path / "all.json"
-        cfg = SweepConfig(max_entry=4, random_trials=20, report_path=str(path))
-        reports = run_all(cfg)
+    def test_run_all_returns_every_suite_in_order(self):
+        reports = run_all(SweepConfig(max_entry=4, random_trials=20))
         assert [r.suite for r in reports] == list(SUITE_IDS)
         assert all(r.passed for r in reports)
-        assert len(json.loads(path.read_text())) == len(SUITE_IDS)
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +198,26 @@ class TestCli:
         assert code == 0
         assert "pass" in out
         assert json.loads(out_path.read_text())["suite"] == "prop37"
+
+    @pytest.mark.parametrize("suite", ["prop41", "all"])
+    def test_verify_out_writes_the_reports(self, capsys, tmp_path, suite):
+        # The file holds the report (one suite) or the reports in SUITE_IDS
+        # order (all), indented by 2 with sorted keys and a final newline.
+        path = tmp_path / "report.json"
+        code, out = run_cli(capsys, "verify", "--suite", suite, "--max-entry", "4",
+                            "--trials", "20", "--json", "--out", str(path))
+        assert code == 0
+        reports = json.loads(out)["result"]
+        assert [r["suite"] for r in reports] == (list(SUITE_IDS) if suite == "all" else [suite])
+        written = reports if suite == "all" else reports[0]
+        assert path.read_bytes() == (json.dumps(written, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_verify_out_unwritable(self, capsys, tmp_path):
+        code = main(["verify", "--suite", "prop37", "--out", str(tmp_path / "absent" / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_exit_codes(self, capsys):
         assert run_cli(capsys, "span", "--seq", "0,1,1", "--m", "2")[0] == 1
@@ -406,6 +417,23 @@ class TestCli:
         path = tmp_path / "decimal.json"
         path.write_text('[[0.0000001], [0, 0.1]]')
         assert _load_sections(str(path)).sections == ((F(1, 10 ** 7),), (F(0), F(1, 10)))
+
+    @pytest.mark.parametrize("written", ["true", "false", "null", "NaN", "[1]"])
+    def test_non_number_in_sections_file(self, capsys, tmp_path, written):
+        # Named as the file writes it, not as Python's True or None.
+        path = tmp_path / "bad.json"
+        path.write_text(f"[[{written}], [0, 1]]")
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: invalid coefficient {written}: "
+                       "write an integer, a decimal or p/q\n")
+
+    def test_dependent_polynomial_sections(self, capsys, tmp_path):
+        # A sections file declares no truncation, so there is none to raise.
+        path = tmp_path / "dependent.json"
+        path.write_text("[[1], [1]]")
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "1"]) == 1
+        assert capsys.readouterr().err == "error: sections are linearly dependent\n"
 
     def test_zero_denominator_in_sections_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
