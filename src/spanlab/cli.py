@@ -317,6 +317,9 @@ def _cmd_bounds_pluecker(args):
 
 
 def _cmd_verify(args):
+    if args.out:
+        # Fail before the sweeps; append mode leaves an existing report as is.
+        open(args.out, "a", encoding="utf-8").close()
     cfg = SweepConfig(
         max_entry=args.max_entry,
         random_trials=args.trials,

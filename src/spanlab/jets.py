@@ -43,16 +43,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        # Fraction would compute 10**exponent exactly: "1e1000000000"
-        # stalls, so coefficient text is an integer, a decimal or p/q only.
-        if "e" in x or "E" in x:
-            raise ValueError(
-                f"invalid coefficient {x!r}: write an integer, a decimal or p/q "
-                "(exponent notation is not accepted)")
+        invalid = f"invalid coefficient {x!r}: write an integer, a decimal or p/q"
         try:
-            return Fraction(x)
+            if "e" not in x and "E" not in x:
+                return Fraction(x)
+            # Fraction would compute 10**exponent exactly ("1e1000000000"
+            # stalls); a number float reads at once is refused before that.
+            list(map(float, x.split("/", 1)))
         except ZeroDivisionError:
             raise ValueError("a coefficient has a zero denominator") from None
+        except ValueError:
+            raise ValueError(invalid) from None
+        raise ValueError(f"{invalid} (exponent notation is not accepted)")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated
 from .sequences import VanishingSequence
@@ -142,13 +142,8 @@ def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
 def _weight_classes(seq: VanishingSequence, m: int) -> dict[int, list[Monomial]]:
     # Degree-m monomials grouped by weight, in lexicographic order inside
     # each class.
-    return _by_weight(zip(*_grow(m, seq.entries)))
-
-
-def _by_weight(pairs: Iterable[tuple[Monomial, int]]) -> dict[int, list[Monomial]]:
-    # (monomial, weight) pairs of one degree as a _weight_classes table.
     classes: dict[int, list[Monomial]] = {}
-    for xi, w in pairs:
+    for xi, w in zip(*_grow(m, seq.entries)):
         classes.setdefault(w, []).append(xi)
     return classes
 
@@ -169,7 +164,7 @@ def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
         raise ValueError(f"neighbor order must be >= 2, got {t}")
     w = weight(xi, seq)
     reach = 2 * t
-    # exchange_degree(xi, eta) <= t, as half the L1 distance (see _partition)
+    # exchange_degree(xi, eta) <= t: at equal degrees, half the L1 distance.
     return [eta for eta in _weight_classes(seq, degree(xi)).get(w, ())
             if eta != xi and sum(map(abs, map(sub, xi, eta))) <= reach]
 
@@ -191,48 +186,72 @@ class EquivalenceReport:
     witness: Optional[tuple[Monomial, Monomial]] = None
 
 
-def _partition(classes: dict[int, list[Monomial]], t: int):
-    # Weight classes (a _weight_classes table) in ascending weight; inside
-    # each class, components of the t-step graph grown breadth-first from the
-    # lexicographically first member not yet reached, each popped member
-    # tested only against the members still unreached.
-    reach = 2 * t
-    partition = []
-    for w in sorted(classes):
-        unreached = classes[w]
-        components = []
-        while unreached:
-            component = [unreached[0]]
-            unreached = unreached[1:]
-            for xi in component:
-                if not unreached:
-                    break
-                rest = []
-                for eta in unreached:
-                    # exchange_degree(xi, eta) <= t: for equal degrees the
-                    # exchange degree is half the L1 distance.
-                    if sum(map(abs, map(sub, xi, eta))) <= reach:
-                        component.append(eta)
-                    else:
-                        rest.append(eta)
-                unreached = rest
-            components.append(sorted(component))
-        partition.append((w, components))
-    return partition
+def _lift(level: list, below: Optional[dict[Monomial, int]] = None) -> Optional[dict[Monomial, int]]:
+    # The t-step components of one level of _levels at a degree m > t from
+    # those of degree m-1, ``below``: the block of each monomial of a class
+    # with more than one, numbered by first member, or None when every class
+    # is one block.  An exchange of at most t < m pieces leaves some x_v in
+    # place, so the members of a class merge, as bitmasks, on the keys
+    # (v, block of xi/x_v).  Returns the blocks in the form of ``below``.
+    nvars = len(level[0][0])
+    blocks: dict[int, list[int]] = {}
+    keys = []
+    for xi, _, w in level:
+        key = 0
+        if below is None:
+            for v, k in enumerate(xi):
+                if k:
+                    key |= 1 << v
+        else:
+            for v, k in enumerate(xi):
+                if k:
+                    key |= 1 << (v + nvars * below.get(xi[:v] + (k - 1,) + xi[v + 1:], 0))
+        keys.append(key)
+        rest = []
+        for block in blocks.get(w, ()):
+            if block & key:
+                key |= block
+            else:
+                rest.append(block)
+        rest.append(key)
+        blocks[w] = rest
+    if all(len(merged) == 1 for merged in blocks.values()):
+        return None
+    lifted = {}
+    numbers: dict[int, dict[int, int]] = {}
+    for (xi, _, w), key in zip(level, keys):
+        if len(blocks[w]) > 1:
+            ids = numbers.setdefault(w, {})
+            lifted[xi] = ids.setdefault(next(b for b in blocks[w] if b & key), len(ids))
+    return lifted
+
+
+def _components(seq: VanishingSequence, m: int, t: int) -> list[tuple[int, list[list[Monomial]]]]:
+    # The t-step components of the degree-m monomials, m >= t: each weight
+    # class in ascending weight with its components in order of first member,
+    # each in lexicographic order.  Every degree-t class is one component.
+    below = None
+    for d, level in enumerate(_levels(m, seq.entries)):
+        if d > t:
+            below = _lift(level, below)
+    classes: dict[int, list[list[Monomial]]] = {}
+    for xi, _, w in level:
+        components = classes.setdefault(w, [])
+        b = below.get(xi, 0) if below else 0
+        if b == len(components):
+            components.append([])
+        components[b].append(xi)
+    return sorted(classes.items())
 
 
 def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceReport:
     """Partition degree-m monomials into weight classes and t-step components."""
     if not (m >= t >= 2):
         raise ValueError(f"need m >= t >= 2, got m={m}, t={t}")
-    partition = _partition(_weight_classes(seq, m), t)
+    partition = _components(seq, m, t)
     n_classes = len(partition)
     n_components = sum(len(comps) for _, comps in partition)
-    witness = None
-    for _, comps in partition:
-        if len(comps) > 1:
-            witness = (comps[0][0], comps[1][0])
-            break
+    witness = next(((comps[0][0], comps[1][0]) for _, comps in partition if len(comps) > 1), None)
     return EquivalenceReport(
         m=m,
         t=t,
@@ -241,30 +260,6 @@ def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceRep
         generated=n_components == n_classes,
         witness=witness,
     )
-
-
-def _split(classes: dict[int, list[Monomial]]) -> bool:
-    # Whether some class of a _weight_classes table is not joined by members
-    # sharing a variable: supports merge, as variable bitmasks, into at most
-    # n+1 disjoint blocks, one iff joined.  O(|class| * n), no pair tests.
-    for members in classes.values():
-        blocks: list[int] = []
-        for xi in members:
-            mask = 0
-            for i, k in enumerate(xi):
-                if k:
-                    mask |= 1 << i
-            rest = []
-            for block in blocks:
-                if block & mask:
-                    mask |= block
-                else:
-                    rest.append(block)
-            rest.append(mask)
-            blocks = rest
-        if len(blocks) > 1:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -276,7 +271,8 @@ class GenerationScan:
     generator exactly when some degree-m weight class is not joined by
     shared variables.  ``generator_degrees`` lists those m in [3; m_cap];
     ``quadric[m]`` tells whether the quadrics generate degree m, i.e.
-    whether two-piece moves connect every degree-m weight class.
+    whether two-piece moves connect every degree-m weight class: the same
+    sharing, lifted from the two-step components of degree m-1.
     """
 
     m_cap: int
@@ -293,28 +289,22 @@ class GenerationScan:
 
 def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
     """Minimal-generator degrees and quadric flags of each degree in
-    [3; m_cap], from one weight-class table per level of one enumeration.
-
-    A two-piece partition runs only where the flag does not follow from
-    degree m-1: a generator degree is not generated by quadrics, and
-    (I_{<=2})_m = sum x_i (I_{<=2})_{m-1} = I_m when degree m-1 is generated
-    by quadrics and degree m carries no generator.
+    [3; m_cap], from one lift per level of one enumeration, and a second
+    where degree m-1 splits into more than one two-step component.
     """
     if not (m_cap >= t_start >= 2):
         raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
     generator_degrees = []
     quadric = {}
-    by_quadrics = True  # whether degree m-1 is generated by quadrics
+    below = None  # the two-step blocks of degree m-1; None when every class is one
     for m, level in enumerate(_levels(m_cap, seq.entries)):
         if m < 3:
             continue
-        classes = _by_weight((xi, w) for xi, _, w in level)
-        if _split(classes):
+        joined = _lift(level)
+        if joined is not None:
             generator_degrees.append(m)
-            by_quadrics = False
-        elif not by_quadrics:
-            by_quadrics = all(len(comps) == 1 for _, comps in _partition(classes, 2))
-        quadric[m] = by_quadrics
+        below = joined if below is None else _lift(level, below)
+        quadric[m] = below is None
     return GenerationScan(m_cap, t_start, tuple(generator_degrees), quadric)
 
 
@@ -366,7 +356,7 @@ def apply_move(xi: Monomial, move: Move) -> Monomial:
 def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:
     ids: dict[Monomial, int] = {}
     next_id = 0
-    for _, comps in _partition(_weight_classes(seq, m), 2):
+    for _, comps in _components(seq, m, 2):
         for comp in comps:
             for xi in comp:
                 ids[xi] = next_id

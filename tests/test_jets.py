@@ -139,7 +139,14 @@ class TestCoefficientText:
             assert ints == tuple(int(c * d) for c in sec)
             assert all(type(v) is int for v in ints)
 
-    @pytest.mark.parametrize("text", ["1e1000000000", "1E5", "-2.5e-3", "1/1e9"])
+    @pytest.mark.parametrize("text", ["three", "abc", "true", "1/two", "0x10", "inf", "1e", "e5", ""])
+    def test_non_number_text_rejected(self, text):
+        # Exponent notation is named only for a number written with one.
+        with pytest.raises(ValueError) as exc:
+            JetSystem(((text,), (0, 1)))
+        assert str(exc.value) == f"invalid coefficient {text!r}: write an integer, a decimal or p/q"
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1E5", "-2.5e-3", "1/1e9", "1e3", "-2.5E-3"])
     def test_exponent_notation_rejected_at_once(self, text):
         # Fraction("1e1000000000") would compute 10**1000000000.
         start = time.perf_counter()

@@ -37,7 +37,7 @@ from spanlab import (
     weight_class,
 )
 from spanlab import monomial_ideal
-from spanlab.monomial_ideal import _partition, _weight_classes
+from spanlab.monomial_ideal import _component_ids, _components, _weight_classes
 
 
 class TestBasics:
@@ -332,9 +332,16 @@ def small_sequences(draw):
 
 class TestPartitionOracle:
     @settings(max_examples=60, deadline=None)
-    @given(small_sequences(), st.integers(1, 6), st.sampled_from([2, 3]))
+    @given(small_sequences(), st.integers(1, 7), st.sampled_from([2, 3, 4]))
     def test_matches_pairwise_union_find(self, seq, m, t):
-        assert _partition(_weight_classes(seq, m), t) == pairwise_partition(seq, m, t)
+        assert _components(seq, m, t) == pairwise_partition(seq, m, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_sequences(), st.integers(2, 6))
+    def test_component_ids_number_the_pairwise_partition(self, seq, m):
+        # Ids count up by ascending weight, then by first member.
+        components = [comp for _, comps in pairwise_partition(seq, m, 2) for comp in comps]
+        assert _component_ids(seq, m) == {xi: i for i, comp in enumerate(components) for xi in comp}
 
     @settings(max_examples=60, deadline=None)
     @given(small_sequences(), st.integers(0, 5), st.sampled_from([2, 3]))

@@ -219,6 +219,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_verify_out_checked_before_the_sweeps(self, capsys, tmp_path):
+        # The sweeps of --suite all take seconds; the path fails first.
+        start = time.perf_counter()
+        code = main(["verify", "--suite", "all", "--out", str(tmp_path / "absent" / "r.json")])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_verify_out_keeps_the_old_report_when_a_sweep_fails(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+
+        def fail(suite, cfg):
+            raise spanlab.SpanlabError("sweep failed")
+        monkeypatch.setattr(spanlab.cli, "run_suite", fail)
+        assert main(["verify", "--suite", "prop37", "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "error: sweep failed\n"
+        assert path.read_text() == "old\n"
+
     def test_exit_codes(self, capsys):
         assert run_cli(capsys, "span", "--seq", "0,1,1", "--m", "2")[0] == 1
         assert run_cli(capsys, "verify", "--suite", "prop37", "--falsify-oracle")[0] == 3
