@@ -1,4 +1,4 @@
-# Jet systems: n+1 truncated power series standing in for local sections.
+# Jet systems: n+1 exact polynomials standing in for local sections.
 # The rank of their degree-m products is bounded below by the span of the
 # vanishing orders, with equality ("m-maximal") exactly when the system
 # behaves like its monomial model -- and maximality transfers upward.

@@ -2,9 +2,9 @@
 
 Sumset spans and their extremal classification, numerical-semigroup gap
 counts and monomial-curve Hilbert data, generation degrees of weighted
-relation ideals via a piece-moving game, truncated-power-series jet systems
-with exact rank computations, closed-form hypersurface bounds, and the
-verification sweeps tying it all together.
+relation ideals via a piece-moving game, polynomial jet systems with exact
+rank computations, closed-form hypersurface bounds, and the verification
+sweeps tying it all together.
 """
 
 from .errors import (
@@ -24,8 +24,6 @@ from .errors import (
     SpanlabError,
     SumsetTooLarge,
     TooShort,
-    TruncationMismatch,
-    TruncationTooSmall,
     UnknownSuite,
 )
 from .sequences import (

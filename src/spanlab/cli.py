@@ -80,9 +80,13 @@ def _load_sections(path: str) -> JetSystem:
     # Non-integer numbers are kept as the text written, so 0.0000001 is read
     # exactly and 1e-7 meets the same exponent check as the string "1e-7".
     # Any other value (true, null, NaN, an array) is named as the file
-    # writes it; bool is an int subclass, so it is named first.
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, parse_float=str)
+    # writes it; bool is an int subclass, so it is named first.  Text that
+    # is not UTF-8 or not JSON raises a ValueError, named with the path too.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=str)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
         raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
     for sec in raw:
@@ -405,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(q)
     q.set_defaults(handler=_cmd_game_trace)
 
-    p = sub.add_parser("jets", help="exact ranks of truncated-series systems")
+    p = sub.add_parser("jets", help="exact ranks of polynomial jet systems")
     jets_sub = p.add_subparsers(dest="subcommand", required=True)
     for name, handler, extra in (
         ("rank", _cmd_jets_rank, (("m", 0),)),

@@ -52,18 +52,9 @@ class PreconditionViolated(SpanlabError):
     """Operation called on inputs outside its stated domain."""
 
 
-class TruncationMismatch(SpanlabError):
-    """A section carries coefficients beyond its declared truncation."""
-
-
 class DegenerateWithinTruncation(SpanlabError):
-    """Sections are linearly dependent as far as the truncation can see;
-    more coefficients are needed to separate them."""
-
-
-class TruncationTooSmall(SpanlabError):
-    """The requested computation needs more coefficients than the system
-    carries, or its result is unstable under raising the truncation."""
+    """The sections are linearly dependent, so they have no adapted orders
+    and no product rank is defined."""
 
 
 class NotLinearOnRange(SpanlabError):

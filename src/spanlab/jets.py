@@ -1,11 +1,11 @@
-"""Jet systems of exact truncated power series and rank-based dimension data.
+"""Jet systems of exact polynomial sections and rank-based dimension data.
 
 A jet system is a tuple of n+1 local sections given by rational coefficient
-lists.  Sections are polynomials by default (coefficients beyond the stored
-ones are exactly zero), so every product and rank below is computed without
-any truncation loss; a system may instead declare an explicit truncation, in
-which case requests beyond the stored coefficients fail loudly and every rank
-is re-checked at a higher truncation before being trusted.
+lists.  Sections are exact polynomials: coefficients beyond the stored ones
+are zero, so a degree-m product has none past t^(m * deg), and every rank,
+filtration profile and propagation check below reads the one exact cut
+m * deg + 1.  Truncated series are not accepted: a term past the stored
+coefficients could change a rank while matching every one of them.
 
 All dimensions are exact ranks of rational matrices; no floating point.
 """
@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import _linalg
 from .errors import (
@@ -27,14 +27,10 @@ from .errors import (
     NotLinearOnRange,
     PropagationFailed,
     TooShort,
-    TruncationMismatch,
-    TruncationTooSmall,
 )
 from .monomial_ideal import _check_enumeration, _grow, generation_scan
 from .sequences import VanishingSequence
 from .span import span
-
-_GUARD = 4  # default slack above m*a_n for truncated-mode working precision
 
 
 def _as_fraction(x) -> Fraction:
@@ -130,18 +126,13 @@ class _PackedRows(Sequence):
 
 @dataclass(frozen=True)
 class JetSystem:
-    """n+1 local sections as rational coefficient lists.
-
-    ``truncation = None`` means the sections are exact polynomials; an integer
-    N means coefficients from t^N on are unknown and any computation needing
-    them raises ``TruncationTooSmall``.
+    """n+1 local sections as exact polynomials with rational coefficients.
 
     Being immutable, the system computes on first use and caches what every
     rank below derives from it: ``adapted_orders`` and ``integer_sections``.
     """
 
     sections: tuple[tuple[Fraction, ...], ...]
-    truncation: Optional[int] = None
 
     def __post_init__(self):
         if len(self.sections) < 2:
@@ -153,9 +144,6 @@ class JetSystem:
                 coeffs.pop()
             cleaned.append(tuple(coeffs))
         object.__setattr__(self, "sections", tuple(cleaned))
-        if self.truncation is not None:
-            if any(len(sec) > self.truncation for sec in cleaned):
-                raise TruncationMismatch("a section carries coefficients beyond the declared truncation")
 
     @property
     def n(self) -> int:
@@ -165,11 +153,6 @@ class JetSystem:
     def poly_degree(self) -> int:
         return max(len(sec) - 1 for sec in self.sections)
 
-    @property
-    def _known_coeffs(self) -> int:
-        # Coefficients known per section: all of a polynomial, or those below t^N.
-        return self.truncation if self.truncation is not None else self.poly_degree + 1
-
     @cached_property
     def _pivots(self) -> Mapping[int, dict[int, int]]:
         """Echelon rows of the integer sections keyed by leading order; the
@@ -178,9 +161,7 @@ class JetSystem:
         ech = _linalg.IncrementalRank()
         for sec in self.integer_sections:
             if ech.add({c: v for c, v in enumerate(sec) if v}) is None:
-                raise DegenerateWithinTruncation(
-                    "sections are linearly dependent" if self.truncation is None else
-                    f"sections dependent up to order >= {self.truncation}; raise the truncation")
+                raise DegenerateWithinTruncation("sections are linearly dependent")
         return ech.pivots
 
     @cached_property
@@ -253,28 +234,24 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
     return JetSystem(tuple(tuple(sec) for sec in sections))
 
 
-def adapted_basis(system: JetSystem, guard: int = 0) -> tuple[VanishingSequence, list[tuple[Fraction, ...]]]:
+def adapted_basis(system: JetSystem) -> tuple[VanishingSequence, list[tuple[Fraction, ...]]]:
     """The adapted orders and the reduced basis of the sections' span.
 
     Returns the cached ``system.adapted_orders`` a_0 < ... < a_n and, built
-    on each call, one coefficient tuple per order, as long as the known
-    coefficients: the i-th is t^{a_i} plus terms at orders outside the
-    sequence.  That is the reduced row echelon form of the sections, so it
-    does not depend on how they are given.  Raises
-    ``DegenerateWithinTruncation`` when two sections collide to order >= N - guard:
-    either the sections are dependent or more coefficients are needed.
+    on each call, one coefficient tuple per order, deg + 1 long: the i-th is
+    t^{a_i} plus terms at orders outside the sequence.  That is the reduced
+    row echelon form of the sections, so it does not depend on how they are
+    given.  Raises ``DegenerateWithinTruncation`` when the sections are
+    linearly dependent.
     """
     orders = system.adapted_orders
-    limit = system._known_coeffs - guard
-    if orders[-1] >= limit:
-        raise DegenerateWithinTruncation(
-            f"sections dependent up to order >= {limit}; raise the truncation")
+    width = system.poly_degree + 1
     # From the highest order down: scale each echelon row to lead 1, then
     # clear its entries at the higher orders with the rows already reduced.
     reduced: dict[int, list[Fraction]] = {}
     for a in reversed(orders.entries):
         pivot = system._pivots[a]
-        row = [Fraction(pivot.get(c, 0), pivot[a]) for c in range(system._known_coeffs)]
+        row = [Fraction(pivot.get(c, 0), pivot[a]) for c in range(width)]
         for b, lower in reduced.items():
             f = row[b]
             row = [x - f * y for x, y in zip(row, lower)]
@@ -296,9 +273,6 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     below t^N of a product depend only on the factors' coefficients below
     t^N, so cutting the sections and the unpacked rows at N is exact.
     """
-    if system.truncation is not None and n_coeffs > system.truncation:
-        raise TruncationTooSmall(
-            f"system stores coefficients to t^{system.truncation}, need t^{n_coeffs}")
     secs = [sec[:n_coeffs] for sec in system.integer_sections]
     # Before B is computed: B has about m times the bits of the norm.
     _check_enumeration(m, len(secs), n_coeffs)
@@ -307,41 +281,16 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     return monomials, _PackedRows(values, k, n_coeffs)
 
 
-def _working_truncations(system: JetSystem, m: int) -> tuple[int, ...]:
-    # Polynomial systems: one exact cut (products cannot exceed m * degree).
-    # Truncated systems: the default working precision plus a stability
-    # re-check one order block higher, as far as the stored data allows.
-    if system.truncation is None:
-        return (m * system.poly_degree + 1,)
-    top_order = system.adapted_orders[-1]
-    needed = m * top_order + 1 + _GUARD
-    if system.truncation < needed:
-        raise TruncationTooSmall(
-            f"need coefficients to t^{needed} for degree {m}, have {system.truncation}")
-    second = min(system.truncation, needed + top_order)
-    return (needed,) if second == needed else (needed, second)
-
-
-def _stable_rank(ranks: list[int]) -> int:
-    if len(set(ranks)) != 1:
-        raise TruncationTooSmall(
-            f"rank unstable under raising the truncation ({ranks}); supply more coefficients")
-    return ranks[0]
-
-
 def sym_power_dim(system: JetSystem, m: int) -> int:
     """Dimension of the span of all degree-m products of the sections.
 
-    Exact rank of the product matrix, C(m+n, n) less the relation dimension;
-    for explicitly truncated systems the rank is re-computed at a higher
-    truncation and must agree.
+    Exact rank of the product matrix, C(m+n, n) less the relation dimension.
     """
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     if m == 0:
         return 1
-    total = comb(m + system.n, system.n)
-    return _stable_rank([total - profile.kernel_dim for profile in _profiles(system, m)])
+    return comb(m + system.n, system.n) - filtration_profile(system, m).kernel_dim
 
 
 def is_m_maximal(system: JetSystem, m: int) -> bool:
@@ -364,38 +313,23 @@ class FiltrationProfile:
     kernel_dim: int
 
 
-def _profiles(system: JetSystem, m: int) -> list[FiltrationProfile]:
-    # The one elimination of the degree-m product rows, cut at the highest
-    # working truncation: rows go in by descending weight, so the rows of
-    # weight j that depend on those before them count the level-j relations.
-    # Cut at a lower N1, the pivots leading at or past N1 vanish and the
-    # others stay independent (their leads are distinct), so a row depends
-    # on the rows before it exactly when it added no pivot leading below N1.
-    seq = system.adapted_orders
-    cuts = _working_truncations(system, m)
-    monomials, rows = _product_rows(system, m, cuts[-1])
-    weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
-    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
-    ech = _linalg.IncrementalRank()
-    leads = [(i, ech.add(rows[i])) for i in order]
-    profiles = []
-    for cut in cuts:
-        dims: dict[int, int] = {}
-        for i, lead in leads:
-            if lead is None or lead >= cut:
-                dims[weights[i]] = dims.get(weights[i], 0) + 1
-        # The kernel counted apart from dims: the rows less the rank at the cut.
-        kernel_dim = len(rows) - sum(lead < cut for lead in ech.pivots)
-        profiles.append(FiltrationProfile(m=m, dims=dims, kernel_dim=kernel_dim))
-    return profiles
-
-
 def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
-    """Per-weight dimensions of the kernel of the degree-m product map."""
-    profiles = _profiles(system, m)
-    if len(profiles) == 2 and profiles[0] != profiles[1]:
-        raise TruncationTooSmall("filtration unstable under raising the truncation")
-    return profiles[0]
+    """Per-weight dimensions of the kernel of the degree-m product map.
+
+    One elimination of the degree-m product rows, cut at m * deg + 1 where
+    they end: rows go in by descending weight, so the rows of weight j that
+    depend on those before them count the level-j relations.
+    """
+    seq = system.adapted_orders
+    monomials, rows = _product_rows(system, m, m * system.poly_degree + 1)
+    weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
+    ech = _linalg.IncrementalRank()
+    dims: dict[int, int] = {}
+    for i in sorted(range(len(rows)), key=weights.__getitem__, reverse=True):
+        if ech.add(rows[i]) is None:
+            dims[weights[i]] = dims.get(weights[i], 0) + 1
+    # The kernel counted apart from dims: the rows less the rank.
+    return FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank)
 
 
 @dataclass(frozen=True)
@@ -430,17 +364,16 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
             dim = sym_power_dim(system, t)
         else:
             # One pass per degree: row i is extended by the unit vector in
-            # column N + i, N the highest cut, so the pivots leading below
-            # each cut give the rank there and those leading at or past N are
-            # a basis of the relations, as combinations of the rows.
-            cuts = _working_truncations(system, t)
-            n_coeffs = cuts[-1]
+            # column N + i, N = t * deg + 1 where the products end, so the
+            # pivots leading below N give the rank and those leading at or
+            # past N are a basis of the relations, as combinations of the rows.
+            n_coeffs = t * system.poly_degree + 1
             monomials, rows = _product_rows(system, t, n_coeffs)
             ech = _linalg.IncrementalRank()
             for i, row in enumerate(rows):
                 row[n_coeffs + i] = 1
                 ech.add(row)
-            dim = _stable_rank([sum(lead < cut for lead in ech.pivots) for cut in cuts])
+            dim = sum(lead < n_coeffs for lead in ech.pivots)
             relations[t] = monomials, [[(c - n_coeffs, v) for c, v in pivot.items()]
                                        for lead, pivot in ech.pivots.items() if lead >= n_coeffs]
         if t == m:

@@ -1,5 +1,4 @@
 import random
-import re
 import time
 from fractions import Fraction as F
 from math import comb, gcd
@@ -16,8 +15,6 @@ from spanlab import (
     HypothesisFailed,
     JetSystem,
     NotLinearOnRange,
-    TruncationMismatch,
-    TruncationTooSmall,
     adapted_basis,
     ap_sequence,
     bigraded_dims,
@@ -36,8 +33,7 @@ from spanlab import (
     validate,
 )
 from spanlab import _linalg, jets
-from spanlab.jets import (
-    FiltrationProfile, _pack, _product_rows, _profiles, _unpack, _working_truncations)
+from spanlab.jets import FiltrationProfile, _pack, _product_rows, _unpack
 
 
 def _naive_mul(a, b, cap=None):
@@ -160,7 +156,7 @@ def _jet_systems(draw):
     # Two to four sections of ints or fractions with negative entries, or
     # sections c * t^e sharing one coefficient c: there every coefficient of
     # a degree-m product is c^m, the bound (largest L1 norm)^m that sets the
-    # slot width.  Some systems declare a truncation above their sections.
+    # slot width.
     nsecs = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["int", "fraction", "tight"]))
     if kind == "tight":
@@ -170,9 +166,7 @@ def _jet_systems(draw):
         entries = (st.integers(-(2 ** 20), 2 ** 20) if kind == "int"
                    else st.fractions(min_value=-9, max_value=9, max_denominator=9))
         sections = [tuple(draw(st.lists(entries, max_size=6))) for _ in range(nsecs)]
-    longest = max(map(len, sections))
-    truncation = draw(st.none() | st.integers(max(longest, 1), longest + 4))
-    return JetSystem(tuple(sections), truncation=truncation)
+    return JetSystem(tuple(sections))
 
 
 _MODEL_SYSTEMS = [
@@ -202,8 +196,7 @@ class TestProductRows:
     def test_packed_rows_match_naive_products(self, system, m, data):
         secs = system.integer_sections
         top = max(map(len, secs))
-        cap = m * top + 2 if system.truncation is None else system.truncation
-        n_coeffs = data.draw(st.integers(1, cap))
+        n_coeffs = data.draw(st.integers(1, m * top + 2))
         monos, rows = _product_rows(system, m, n_coeffs)
         assert monos == list(monomials_of_degree(m, len(secs)))
         for xi, row in zip(monos, rows):
@@ -245,8 +238,8 @@ def _order(coeffs):
 
 def _sympy_rref(system):
     # Pivot columns and nonzero rows of the reduced row echelon form of the
-    # sections, zero-padded to the known coefficients.
-    width = system._known_coeffs
+    # sections, zero-padded to deg + 1 coefficients.
+    width = system.poly_degree + 1
     matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in sec]
                            + [0] * (width - len(sec)) for sec in system.sections])
     reduced, pivots = matrix.rref()
@@ -299,14 +292,10 @@ class TestAdaptedBasis:
             assert _order(b) == a
             assert b[a] == 1
 
-    @pytest.mark.parametrize("truncation,message", [
-        (None, "^sections are linearly dependent$"),
-        (3, "order >= 3; raise the truncation"),
-    ], ids=["polynomial", "truncated"])
-    def test_dependent_sections(self, truncation, message):
+    def test_dependent_sections(self):
         # Raises on every call: a failed triangularization is not cached.
-        # Only a truncated system has a truncation to raise.
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))), truncation=truncation)
+        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))))
+        message = "^sections are linearly dependent$"
         for _ in range(2):
             with pytest.raises(DegenerateWithinTruncation, match=message):
                 adapted_basis(system)
@@ -369,6 +358,15 @@ class TestSymPowerDim:
                     strict += dim > span(seq, m)
         assert strict > 0
 
+    def test_far_term_counts(self):
+        # Every coefficient is exact: t^30 sets x_0 x_2 = t^2 + t^30 apart
+        # from x_1^2 = t^2, however far it lies past the other coefficients.
+        model = JetSystem(((1,), (0, 1), (0, 0, 1)))
+        far = JetSystem(((1,), (0, 1), (0, 0, 1) + (0,) * 27 + (1,)))
+        assert far.adapted_orders == model.adapted_orders
+        assert (sym_power_dim(model, 2), is_m_maximal(model, 2)) == (5, True)
+        assert (sym_power_dim(far, 2), is_m_maximal(far, 2)) == (6, False)
+
     def test_degree_zero(self):
         assert sym_power_dim(monomial_system(validate([0, 1, 3])), 0) == 1
 
@@ -381,7 +379,6 @@ class TestSymPowerDim:
     @given(_jet_systems(), st.integers(0, 4))
     def test_polynomial_draws_match_sympy_rank(self, system, m):
         # Dependent sections have no adapted orders, so no rank above m = 0.
-        system = JetSystem(system.sections)
         secs = system.integer_sections
         width = max(map(len, secs))
         independent = width and _sympy_rank(
@@ -391,65 +388,6 @@ class TestSymPowerDim:
                 sym_power_dim(system, m)
         else:
             assert sym_power_dim(system, m) == _oracle_rank(system, m)
-
-
-class TestTruncatedMode:
-    def test_explicit_truncation_accepted(self):
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(0), F(1))), truncation=30)
-        assert sym_power_dim(system, 2) == 5
-
-    def test_too_small(self):
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(0), F(1))), truncation=6)
-        with pytest.raises(TruncationTooSmall):
-            sym_power_dim(system, 3)
-
-    def test_section_beyond_truncation_rejected(self):
-        with pytest.raises(TruncationMismatch):
-            JetSystem(((F(1),), (F(0), F(1), F(1))), truncation=2)
-
-    def test_rank_invariant_under_raising_truncation(self):
-        # The same sections at any sufficient truncation give the same rank.
-        sections = perturbed_system(validate([0, 1, 3]), tail=2, seed=4).sections
-        exact = sym_power_dim(JetSystem(sections), 2)
-        for truncation in (20, 35, 60):
-            assert sym_power_dim(JetSystem(sections, truncation=truncation), 2) == exact
-
-    def test_unstable_under_raising_the_truncation(self):
-        # At m = 2 the working truncations are 9 and 11: only at 11 does the
-        # t^10 term set x_0 x_2 = t^2 + t^10 apart from x_1^2 = t^2.
-        sections = ((1,), (0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1))
-        system = JetSystem(sections, truncation=11)
-        rank_message = re.escape(
-            "rank unstable under raising the truncation ([5, 6]); supply more coefficients")
-        with pytest.raises(TruncationTooSmall, match=rank_message):
-            sym_power_dim(system, 2)
-        with pytest.raises(TruncationTooSmall, match="filtration unstable under raising the truncation"):
-            filtration_profile(system, 2)
-        with pytest.raises(TruncationTooSmall, match=rank_message):
-            check_ideal_propagation(system, 2, 3)
-        assert sym_power_dim(JetSystem(sections), 2) == 6
-
-    def test_adapted_basis_guard_band(self):
-        # With a guard the near-truncation order is treated as unresolved.
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(1), F(0), F(1))), truncation=4)
-        seq, _ = adapted_basis(system)
-        assert seq.entries == (0, 1, 3)
-        # The guarded call reuses the orders the first call cached.
-        with pytest.raises(DegenerateWithinTruncation):
-            adapted_basis(system, guard=1)
-
-    def test_truncated_basis_matches_sympy_rref(self):
-        # The basis spans all stored coefficients; a guard only decides
-        # whether the top order is trusted.
-        system = JetSystem(((F(1), F(2)), (F(0), F(1), F(1)), (F(0), F(1), F(0), F(1))),
-                           truncation=6)
-        assert _check_against_rref(system)
-        seq, basis = adapted_basis(system, guard=3)
-        assert seq.entries == (0, 1, 2)
-        assert basis == _sympy_rref(system)[1]
-        assert all(len(b) == 6 for b in basis)
-        with pytest.raises(DegenerateWithinTruncation, match="order >= 2"):
-            adapted_basis(system, guard=4)
 
 
 def _count_product_rows(monkeypatch):
@@ -481,43 +419,25 @@ def _two_pass_profile(system, m, n_coeffs):
 
 
 class TestCutReading:
-    # _profiles eliminates the rows once, cut at the highest working
-    # truncation, and reads the lower cut from the pivots' leading columns;
-    # a pass per cut must agree with it, dims in the same order.
-    @staticmethod
-    def check(system, m):
-        expected = [_two_pass_profile(system, m, cut) for cut in _working_truncations(system, m)]
-        got = _profiles(system, m)
-        assert got == expected
-        assert [list(p.dims.items()) for p in got] == [list(p.dims.items()) for p in expected]
-
-    @given(_jet_systems(), st.integers(0, 4), st.integers(0, 24))
-    def test_truncated_draws(self, system, m, raise_by):
-        # The draw's truncation, raised so that higher degrees fit in it.
-        if system.truncation is None:
-            return
-        system = JetSystem(system.sections, truncation=system.truncation + raise_by)
+    # filtration_profile eliminates the rows once, cut at m * deg + 1, and
+    # reads each row's dependence from what add returns; a pass that
+    # compares ranks must agree with it, dims in the same order.
+    @given(_jet_systems(), st.integers(0, 4))
+    def test_polynomial_draws(self, system, m):
         try:
-            _working_truncations(system, m)
-        except (DegenerateWithinTruncation, TruncationTooSmall):
+            system.adapted_orders
+        except DegenerateWithinTruncation:
             return
-        self.check(system, m)
-
-    @pytest.mark.parametrize("top", [
-        (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1),  # x_0 x_2 - x_1^2 = t^10: ranks [5, 6]
-        (0, 0, 1, 0, 0, 0, 0, 0, 0, 1),  # = t^9, a pivot leading at the lower cut
-    ])
-    def test_relation_lost_above_the_lower_cut(self, top):
-        system = JetSystem(((1,), (0, 1), top), truncation=11)
-        assert _working_truncations(system, 2) == (9, 11)
-        self.check(system, 2)
-        assert [p.kernel_dim for p in _profiles(system, 2)] == [1, 0]
+        expected = _two_pass_profile(system, m, m * system.poly_degree + 1)
+        got = filtration_profile(system, m)
+        assert got == expected
+        assert list(got.dims.items()) == list(expected.dims.items())
 
     def test_rows_built_once(self, monkeypatch):
-        system = JetSystem(((1,), (0, 1), (0, 0, 1)), truncation=30)
+        system = JetSystem(((1,), (0, 1), (0, 0, 1)))
         calls = _count_product_rows(monkeypatch)
         assert filtration_profile(system, 2).kernel_dim == 1
-        assert calls == [(2, 11)]
+        assert calls == [(2, 5)]
 
 
 class TestFiltration:

@@ -9,7 +9,6 @@ from spanlab import (
     HypothesisFailed,
     JetSystem,
     PropagationFailed,
-    TruncationTooSmall,
     check_ideal_propagation,
     monomial_system,
     near_ap_high,
@@ -19,7 +18,7 @@ from spanlab import (
 )
 from spanlab import _linalg
 from spanlab._linalg import IncrementalRank
-from spanlab.jets import _product_rows, _working_truncations
+from spanlab.jets import _product_rows
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -43,7 +42,7 @@ def rank(m):
 
 def propagation_relations(system, m, t_max):
     # For each degree t in [m, t_max) that check_ideal_propagation reached,
-    # the dense product rows cut at the highest working truncation N and
+    # the dense product rows cut at N = t * deg + 1, where they end, and
     # the relations its pass read: the pivots of the echelon that absorbed
     # those rows, row i extended by the unit vector in column N + i, whose
     # leading column is >= N, shifted down by N.
@@ -64,14 +63,11 @@ def propagation_relations(system, m, t_max):
         mp.setattr(_linalg, "IncrementalRank", Recording)
         try:
             check_ideal_propagation(system, m, t_max)
-        except (HypothesisFailed, PropagationFailed, TruncationTooSmall):
+        except (HypothesisFailed, PropagationFailed):
             pass
     found = {}
     for t in range(m, t_max):
-        try:
-            n_coeffs = _working_truncations(system, t)[-1]
-        except TruncationTooSmall:
-            break
+        n_coeffs = t * system.poly_degree + 1
         rows = list(_product_rows(system, t, n_coeffs)[1])
         extended = [{**row, n_coeffs + i: 1} for i, row in enumerate(rows)]
         passes = [ech for ech in echelons if ech.rows == extended]
@@ -98,13 +94,11 @@ def check_relations(dense, relations):
 @st.composite
 def _systems(draw):
     # Sections t^a plus integer or rational tails at distinct orders a, so
-    # they are independent; some declare a truncation above their sections.
+    # they are independent.
     orders = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True))
     entries = st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=4)
     sections = [(0,) * a + (1,) + tuple(draw(st.lists(entries, max_size=3))) for a in orders]
-    longest = max(map(len, sections))
-    truncation = draw(st.none() | st.integers(longest, 40))
-    return JetSystem(tuple(sections), truncation=truncation)
+    return JetSystem(tuple(sections))
 
 
 class TestRank:
@@ -160,7 +154,6 @@ class TestKernels:
         # Not 2-maximal: the pass at degree 2 runs before the hypothesis fails.
         (perturbed_system(validate([0, 1, 3]), tail=2, seed=4), {2}),
         (reparametrized_system(near_ap_high(3, 1), tail=1, seed=3), {2, 3}),
-        (JetSystem(((1,), (0, 1), (0, 0, 1)), truncation=30), {2, 3}),
     ])
     def test_relations_annihilate_product_rows(self, system, degrees):
         found = propagation_relations(system, 2, 4)

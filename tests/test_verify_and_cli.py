@@ -421,6 +421,21 @@ class TestCli:
         assert err.count("\n") == 1
         assert "expected a JSON array of coefficient arrays" in err
 
+    def test_invalid_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[[1],\n[0 1]]")
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: Expecting ',' delimiter: line 2 column 4 (char 9)\n")
+
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[["\xbd"], [0, 1]]')
+        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xbd in position 3: "
+            "invalid start byte\n")
+
     @pytest.mark.parametrize("text", ['[["1e1000000000"], [0, 1]]', '[[1e1000000000], [0, 1]]'])
     def test_exponent_in_sections_file_fails_fast(self, capsys, tmp_path, text):
         # Fraction would compute 10**1000000000; the text is refused unread.
@@ -450,7 +465,7 @@ class TestCli:
                        "write an integer, a decimal or p/q\n")
 
     def test_dependent_polynomial_sections(self, capsys, tmp_path):
-        # A sections file declares no truncation, so there is none to raise.
+        # Sections are exact polynomials: no more coefficients could part them.
         path = tmp_path / "dependent.json"
         path.write_text("[[1], [1]]")
         assert main(["jets", "rank", "--sections-file", str(path), "--m", "1"]) == 1
