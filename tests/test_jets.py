@@ -292,9 +292,14 @@ class TestAdaptedBasis:
             assert _order(b) == a
             assert b[a] == 1
 
-    def test_dependent_sections(self):
+    @pytest.mark.parametrize("sections", [
+        ((F(1),), (F(0), F(1)), (F(0), F(3))),
+        # Dependent through a coefficient far past the others.
+        ((F(1),), (F(0), F(1)) + (F(0),) * 8 + (F(1),), (F(0), F(3)) + (F(0),) * 8 + (F(3),)),
+    ], ids=["polynomial", "far"])
+    def test_dependent_sections(self, sections):
         # Raises on every call: a failed triangularization is not cached.
-        system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(3))))
+        system = JetSystem(sections)
         message = "^sections are linearly dependent$"
         for _ in range(2):
             with pytest.raises(DegenerateWithinTruncation, match=message):
@@ -390,6 +395,62 @@ class TestSymPowerDim:
             assert sym_power_dim(system, m) == _oracle_rank(system, m)
 
 
+class TestExactCut:
+    # Sections are exact polynomials, so the degree-m products end at
+    # t^(m * deg) and every reader cuts them once, at m * deg + 1.
+    def test_every_reader_cuts_at_m_deg_plus_one(self, monkeypatch):
+        system = monomial_system(validate([0, 1, 2, 3]))
+        calls = _count_product_rows(monkeypatch)
+        assert sym_power_dim(system, 2) == 7
+        assert calls == [(2, 7)]
+        calls.clear()
+        assert filtration_profile(system, 3).kernel_dim == 10
+        assert calls == [(3, 10)]
+        calls.clear()
+        check_ideal_propagation(system, 2, 4)
+        assert calls == [(2, 7), (3, 10), (4, 13)]
+
+    @given(_jet_systems(), st.integers(1, 4), st.integers(1, 6))
+    def test_rows_end_at_the_cut(self, system, m, extra):
+        # A wider cut adds no entry: no product has a coefficient past m * deg.
+        try:
+            system.adapted_orders
+        except DegenerateWithinTruncation:
+            return
+        cut = m * system.poly_degree + 1
+        monos, rows = _product_rows(system, m, cut)
+        wide_monos, wide_rows = _product_rows(system, m, cut + extra)
+        assert wide_monos == monos
+        assert list(wide_rows) == list(rows)
+
+    def test_far_term_in_every_reader(self):
+        # x_0 x_2 - x_1^2 = t^10 on (1, t, t^2 + t^10): no relation in
+        # degree 2, so the system is not 2-maximal, and propagation refuses it.
+        model = JetSystem(((1,), (0, 1), (0, 0, 1)))
+        far = JetSystem(((1,), (0, 1), (0, 0, 1) + (0,) * 7 + (1,)))
+        assert filtration_profile(model, 2) == FiltrationProfile(m=2, dims={2: 1}, kernel_dim=1)
+        assert filtration_profile(far, 2) == FiltrationProfile(m=2, dims={}, kernel_dim=0)
+        assert check_ideal_propagation(model, 2, 3).quotient_dims == {2: 5, 3: 7}
+        with pytest.raises(HypothesisFailed, match="^system is not 2-maximal$"):
+            check_ideal_propagation(far, 2, 3)
+
+    def test_basis_matches_sympy_rref_on_far_orders(self):
+        # The basis spans every coefficient, deg + 1 of them in each row.
+        system = JetSystem(((F(1), F(2)), (F(0), F(1), F(1)), (F(0), F(1), F(0), F(1)),
+                            (F(0),) * 5 + (F(2),)))
+        assert _check_against_rref(system)
+        seq, basis = adapted_basis(system)
+        assert seq.entries == (0, 1, 2, 5)
+        assert all(len(b) == 6 for b in basis)
+
+    def test_no_truncation_or_guard(self):
+        sections = ((F(1),), (F(0), F(1)), (F(0), F(0), F(1)))
+        with pytest.raises(TypeError):
+            JetSystem(sections, truncation=30)
+        with pytest.raises(TypeError):
+            adapted_basis(JetSystem(sections), guard=1)
+
+
 def _count_product_rows(monkeypatch):
     # The (degree, cut) of each _product_rows call made through jets.
     calls = []
@@ -432,6 +493,21 @@ class TestCutReading:
         got = filtration_profile(system, m)
         assert got == expected
         assert list(got.dims.items()) == list(expected.dims.items())
+
+    @pytest.mark.parametrize("top,kernel_dim", [
+        ((0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 0),  # x_0 x_2 - x_1^2 = t^10
+        ((0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 0),  # = t^9
+        ((0, 0, 1), 1),
+    ], ids=["t10", "t9", "model"])
+    def test_far_top_term(self, top, kernel_dim):
+        # The exact cut agrees with a pass over a wider one.
+        system = JetSystem(((1,), (0, 1), top))
+        got = filtration_profile(system, 2)
+        assert got.kernel_dim == kernel_dim
+        for cut in (2 * system.poly_degree + 1, 2 * system.poly_degree + 4):
+            expected = _two_pass_profile(system, 2, cut)
+            assert got == expected
+            assert list(got.dims.items()) == list(expected.dims.items())
 
     def test_rows_built_once(self, monkeypatch):
         system = JetSystem(((1,), (0, 1), (0, 0, 1)))

@@ -154,6 +154,8 @@ class TestKernels:
         # Not 2-maximal: the pass at degree 2 runs before the hypothesis fails.
         (perturbed_system(validate([0, 1, 3]), tail=2, seed=4), {2}),
         (reparametrized_system(near_ap_high(3, 1), tail=1, seed=3), {2, 3}),
+        # Not 2-maximal either: t^30 parts x_0 x_2 from x_1^2.
+        (JetSystem(((1,), (0, 1), (0, 0, 1) + (0,) * 27 + (1,))), {2}),
     ])
     def test_relations_annihilate_product_rows(self, system, degrees):
         found = propagation_relations(system, 2, 4)
