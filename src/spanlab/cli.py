@@ -44,10 +44,6 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _parse_exponents(text: str) -> tuple[int, ...]:
-    return tuple(_parse_ints(text))
-
-
 def _int_list(text: str) -> str:
     # argparse type for comma-separated integers: a bad token is a usage
     # error (exit 2); the raw text is kept so the envelope echoes it.
@@ -211,33 +207,26 @@ def _cmd_ideal_gendeg(args):
 
 def _cmd_game_trace(args):
     seq = from_text(args.seq)
-    source = _parse_exponents(args.source)
-    target = _parse_exponents(args.target)
+    source = tuple(_parse_ints(args.source))
+    target = tuple(_parse_ints(args.target))
     outcome = move_trace(source, target, seq)
-    if isinstance(outcome, NonEquivalent):
-        result = {
-            "seq": list(seq.entries),
-            "from": list(source),
-            "to": list(target),
-            "equivalent": False,
-            "moves": None,
-            "components": [outcome.source_component, outcome.target_component],
-        }
+    joined = not isinstance(outcome, NonEquivalent)
+    result = {
+        "seq": list(seq.entries),
+        "from": list(source),
+        "to": list(target),
+        "equivalent": joined,
+        "moves": [[list(src), list(dst)] for src, dst in outcome] if joined else None,
+        "components": None if joined else [outcome.source_component, outcome.target_component],
+    }
+    if joined:
+        lines = [f"joinable in {len(outcome)} move(s)"]
+        lines.extend(f"  ({i},{j}) -> ({k},{l})" for (i, j), (k, l) in outcome)
+    else:
         lines = [
             "not joinable by moves",
             f"component ids: {outcome.source_component} vs {outcome.target_component}",
         ]
-    else:
-        result = {
-            "seq": list(seq.entries),
-            "from": list(source),
-            "to": list(target),
-            "equivalent": True,
-            "moves": [[list(src), list(dst)] for src, dst in outcome],
-            "components": None,
-        }
-        lines = [f"joinable in {len(outcome)} move(s)"]
-        lines.extend(f"  ({i},{j}) -> ({k},{l})" for (i, j), (k, l) in outcome)
     return {"seq": args.seq, "from": args.source, "to": args.target}, result, lines
 
 
@@ -360,87 +349,72 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spanlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON envelope")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("span", help="m-fold sumset size and classification")
+    def command(where, name, handler, help):
+        # Every leaf: --json, its handler, and itself as args.parser, which
+        # a handler's cross-option check reports its usage error through.
+        p = where.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true", help="emit the JSON envelope")
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command(sub, "span", _cmd_span, "m-fold sumset size and classification")
     p.add_argument("--seq", type=_int_list, required=True, help="comma-separated entries, e.g. 0,1,2,4")
     p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--classify", action="store_true", help="show the difference-shape verdict")
-    add_json(p)
-    p.set_defaults(handler=_cmd_span)
 
-    p = sub.add_parser("semigroup", help="gaps of a numerical semigroup")
+    p = command(sub, "semigroup", _cmd_semigroup, "gaps of a numerical semigroup")
     p.add_argument("--gens", type=_int_list, required=True, help="comma-separated generators, e.g. 3,5")
-    add_json(p)
-    p.set_defaults(handler=_cmd_semigroup)
 
-    p = sub.add_parser("curve", help="degree and genus of the monomial curve")
+    p = command(sub, "curve", _cmd_curve, "degree and genus of the monomial curve")
     p.add_argument("--seq", type=_int_list, required=True)
-    add_json(p)
-    p.set_defaults(handler=_cmd_curve)
 
-    p = sub.add_parser("hilbert", help="eventual span line and stabilization threshold")
+    p = command(sub, "hilbert", _cmd_hilbert, "eventual span line and stabilization threshold")
     p.add_argument("--seq", type=_int_list, required=True)
     p.add_argument("--mcap", type=_int_at_least(2), default=None)
-    add_json(p)
-    p.set_defaults(handler=_cmd_hilbert)
 
-    p = sub.add_parser("ideal", help="weighted relation ideal data")
-    ideal_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = ideal_sub.add_parser("dims", help="per-weight dimension tally at one degree")
-    q.add_argument("--seq", type=_int_list, required=True)
-    q.add_argument("--m", type=_int_at_least(0), required=True)
-    add_json(q)
-    q.set_defaults(handler=_cmd_ideal_dims)
-    q = ideal_sub.add_parser("gendeg", help="smallest generating degree observed up to a cap")
-    q.add_argument("--seq", type=_int_list, required=True)
-    q.add_argument("--mcap", type=_int_at_least(2), default=8)
-    q.add_argument("--t", type=_int_at_least(2), default=2, help="starting neighbor order")
-    add_json(q)
-    q.set_defaults(handler=_cmd_ideal_gendeg, parser=q)
+    ideal = group("ideal", "weighted relation ideal data")
+    p = command(ideal, "dims", _cmd_ideal_dims, "per-weight dimension tally at one degree")
+    p.add_argument("--seq", type=_int_list, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
+    p = command(ideal, "gendeg", _cmd_ideal_gendeg, "smallest generating degree observed up to a cap")
+    p.add_argument("--seq", type=_int_list, required=True)
+    p.add_argument("--mcap", type=_int_at_least(2), default=8)
+    p.add_argument("--t", type=_int_at_least(2), default=2, help="starting neighbor order")
 
-    p = sub.add_parser("game", help="the piece-moving game")
-    game_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = game_sub.add_parser("trace", help="shortest move sequence between two positions")
-    q.add_argument("--seq", type=_int_list, required=True)
-    q.add_argument("--from", dest="source", type=_int_list, required=True, help="exponent tuple, e.g. 2,0,1")
-    q.add_argument("--to", dest="target", type=_int_list, required=True)
-    add_json(q)
-    q.set_defaults(handler=_cmd_game_trace)
+    game = group("game", "the piece-moving game")
+    p = command(game, "trace", _cmd_game_trace, "shortest move sequence between two positions")
+    p.add_argument("--seq", type=_int_list, required=True)
+    p.add_argument("--from", dest="source", type=_int_list, required=True, help="exponent tuple, e.g. 2,0,1")
+    p.add_argument("--to", dest="target", type=_int_list, required=True)
 
-    p = sub.add_parser("jets", help="exact ranks of polynomial jet systems")
-    jets_sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, handler, extra in (
-        ("rank", _cmd_jets_rank, (("m", 0),)),
-        ("maximal", _cmd_jets_maximal, (("m", 1),)),
-        ("profile", _cmd_jets_profile, (("m", 0),)),
-        ("estimate", _cmd_jets_estimate, (("mlo", 1), ("mhi", 2))),
+    jets = group("jets", "exact ranks of polynomial jet systems")
+    for name, handler, help, extra in (
+        ("rank", _cmd_jets_rank, "rank of the degree-m products", (("m", 0),)),
+        ("maximal", _cmd_jets_maximal, "whether the degree-m rank equals the span", (("m", 1),)),
+        ("profile", _cmd_jets_profile, "per-weight dimensions of the degree-m relations", (("m", 0),)),
+        ("estimate", _cmd_jets_estimate, "degree and genus fitted on [mlo; mhi]", (("mlo", 1), ("mhi", 2))),
     ):
-        q = jets_sub.add_parser(name)
-        q.add_argument("--sections-file", required=True,
+        p = command(jets, name, handler, help)
+        p.add_argument("--sections-file", required=True,
                        help="JSON array of coefficient arrays; entries like \"3/4\" or integers")
         for field, low in extra:
-            q.add_argument(f"--{field}", type=_int_at_least(low), required=True)
-        add_json(q)
-        q.set_defaults(handler=handler, parser=q)
+            p.add_argument(f"--{field}", type=_int_at_least(low), required=True)
 
-    p = sub.add_parser("bounds", help="closed-form counting bounds")
-    bounds_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = bounds_sub.add_parser("hypersurfaces")
-    q.add_argument("--n", type=_int_at_least(1), required=True)
-    q.add_argument("--m", type=_int_at_least(2), required=True)
-    add_json(q)
-    q.set_defaults(handler=_cmd_bounds_hypersurfaces)
-    q = bounds_sub.add_parser("pluecker")
-    q.add_argument("--n", type=_int_at_least(1), required=True)
-    q.add_argument("--d", type=_int_at_least(1), required=True)
-    q.add_argument("--g", type=_int_at_least(0), required=True)
-    q.add_argument("--weights", type=_int_list, default=None, help="comma-separated point weights")
-    add_json(q)
-    q.set_defaults(handler=_cmd_bounds_pluecker)
+    bounds = group("bounds", "closed-form counting bounds")
+    p = command(bounds, "hypersurfaces", _cmd_bounds_hypersurfaces,
+                "most independent degree-m hypersurfaces through a curve in P^n")
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(2), required=True)
+    p = command(bounds, "pluecker", _cmd_bounds_pluecker, "total inflection weight of a linear system")
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--g", type=_int_at_least(0), required=True)
+    p.add_argument("--weights", type=_int_list, default=None, help="comma-separated point weights")
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command(sub, "verify", _cmd_verify, "run verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_IDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=None)
@@ -449,8 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--falsify-oracle", action="store_true",
                    help="self-test: corrupt one expected value per suite")
-    add_json(p)
-    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -463,11 +435,8 @@ def main(argv=None) -> int:
     except (SpanlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failed = False
-    if len(outcome) == 4:
-        inputs, result, lines, failed = outcome
-    else:
-        inputs, result, lines = outcome
+    # (inputs, result, lines), and from verify whether a suite failed.
+    inputs, result, lines, *failed = outcome
     if args.json:
         envelope = {
             "command": args.command if not getattr(args, "subcommand", None)
@@ -481,7 +450,7 @@ def main(argv=None) -> int:
     else:
         for line in lines:
             print(line)
-    return 3 if failed else 0
+    return 3 if any(failed) else 0
 
 
 if __name__ == "__main__":

@@ -420,6 +420,10 @@ def degree_genus_estimate(system: JetSystem, m_lo: int, m_hi: int) -> tuple[int,
     """
     if m_hi < m_lo + 1 or m_lo < 1:
         raise ValueError(f"need m_hi > m_lo >= 1, got [{m_lo}; {m_hi}]")
+    # The budget of _product_rows grows with the degree: checked at m_hi
+    # before the first rank, not after every degree below it.  Reading the
+    # adapted orders first reports dependent sections, as every rank does.
+    _check_enumeration(m_hi, len(system.adapted_orders), m_hi * system.poly_degree + 1)
     dims = [sym_power_dim(system, m) for m in range(m_lo, m_hi + 1)]
     d = dims[1] - dims[0]
     intercept = dims[0] - d * m_lo

@@ -56,9 +56,7 @@ def _generators(generators: Iterable[int]) -> list[int]:
         raise EmptyGenerators("need at least one generator")
     if gens[0] < 1:
         raise NegativeEntry(f"generators must be >= 1, got {gens[0]}")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise GcdNotOne(f"gcd of {gens} is {g}; gap set would be infinite")
     if gens[0] > MAX_SMALLEST_GENERATOR:

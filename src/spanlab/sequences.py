@@ -97,9 +97,7 @@ def normalize(seq: VanishingSequence) -> tuple[VanishingSequence, int, int]:
     """
     shift = seq[0]
     diffs = [a - shift for a in seq]
-    factor = 0
-    for d in diffs[1:]:
-        factor = gcd(factor, d)
+    factor = gcd(*diffs[1:])
     normalized = VanishingSequence(tuple(d // factor for d in diffs))
     return normalized, shift, factor
 

@@ -89,10 +89,7 @@ def normalized_sequences(n_lo: int, n_hi: int, max_entry: int) -> Iterator[Vanis
     """
     for n in range(n_lo, n_hi + 1):
         for tail in combinations(range(1, max_entry + 1), n):
-            g = 0
-            for b in tail:
-                g = gcd(g, b)
-            if g == 1:
+            if gcd(*tail) == 1:
                 yield VanishingSequence((0,) + tail)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import spanlab
 from spanlab import SUITE_IDS, SweepConfig, UnknownSuite, run_all, run_suite
-from spanlab.cli import _load_sections, main
+from spanlab.cli import _build_parser, _load_sections, main
 
 
 SMALL = SweepConfig(max_entry=5, random_trials=30)
@@ -378,17 +379,43 @@ class TestCli:
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["rank", "maximal", "profile"])
-    def test_huge_degree_fails_before_the_coefficient_bound(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("sections, argv", [
+        ("[[1, 2], [0, 1]]", ["rank", "--m", "1000000000"]),
+        ("[[1, 2], [0, 1]]", ["maximal", "--m", "1000000000"]),
+        ("[[1, 2], [0, 1]]", ["profile", "--m", "1000000000"]),
+        # Three sections take seconds for the ranks at the degrees below the
+        # first one over the budget, so estimate must check --mhi first.
+        ("[[1, 2, 3], [0, 1, 5], [0, 0, 1, 7]]", ["estimate", "--mlo", "1", "--mhi", "1000000000"]),
+    ], ids=["rank", "maximal", "profile", "estimate"])
+    def test_huge_degree_fails_before_the_coefficient_bound(self, capsys, tmp_path, sections, argv):
         # Sections 1 + 2t and t have L1 norm 3: the product bound 3^m would
         # have 1.6e9 bits at this degree, so the budget must be checked first.
-        path = tmp_path / "norm3.json"
-        path.write_text("[[1, 2], [0, 1]]")
+        path = tmp_path / "sections.json"
+        path.write_text(sections)
         start = time.perf_counter()
-        code = main(["jets", command, "--sections-file", str(path), "--m", "1000000000"])
+        code = main(["jets", argv[0], "--sections-file", str(path), *argv[1:]])
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
+
+    def test_every_leaf_is_registered_with_json_handler_and_parser(self):
+        def leaves(parser, path):
+            groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not groups:
+                yield path, parser
+            for group in groups:
+                for name, child in group.choices.items():
+                    yield from leaves(child, f"{path} {name}".strip())
+
+        found = dict(leaves(_build_parser(), ""))
+        assert sorted(found) == [
+            "bounds hypersurfaces", "bounds pluecker", "curve", "game trace", "hilbert",
+            "ideal dims", "ideal gendeg", "jets estimate", "jets maximal", "jets profile",
+            "jets rank", "semigroup", "span", "verify"]
+        for name, leaf in found.items():
+            assert leaf._option_string_actions["--json"].default is False, name
+            assert callable(leaf.get_default("handler")), name
+            assert leaf.get_default("parser") is leaf, name
 
     def test_repeated_calls_share_parser_state_safely(self, capsys):
         argv = ["ideal", "gendeg", "--seq", "0,1,3", "--mcap", "5", "--json"]
