@@ -8,6 +8,7 @@ sweeps tying it all together.
 """
 
 from .errors import (
+    CountTooLarge,
     DegenerateWithinTruncation,
     EmptyGenerators,
     EnumerationTooLarge,

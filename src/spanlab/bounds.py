@@ -1,14 +1,42 @@
 """Closed-form counting bounds for hypersurfaces through curves.
 
-All formulas are exact integer arithmetic; Python integers never overflow.
-The companion rank computations live in ``jets``; nothing here claims any
-geometric classification on its own.
+All formulas are exact integer arithmetic; Python integers never overflow,
+but a count of more decimal digits than Python writes as text is refused
+before it is computed.  The companion rank computations live in ``jets``;
+nothing here claims any geometric classification on its own.
 """
 
 from __future__ import annotations
 
-from math import comb
+import sys
+from math import comb, log, log1p, pi
 from typing import Sequence
+
+from .errors import CountTooLarge, over_limit
+
+
+def _log10_binomial(total: int, k: int) -> float:
+    # Stirling's estimate of log10 C(total, k) for 1 <= k <= total - k,
+    # within 0.1 of the truth; logs of the integers, so any size works.
+    rest = total - k
+    x = k / rest
+    nats = (k * (log(total) - log(k)) + (k * log1p(x) / x if x else k)
+            - (log(2 * pi) + log(k) + log(rest) - log(total)) / 2)
+    return nats / log(10)
+
+
+def _binomial_less(n: int, m: int, less: int) -> int:
+    # C(m+n, n) - less, with less < C(m+n, n) / 2 when m, n >= 2.  Raises
+    # CountTooLarge, before comb runs, when that has more decimal digits than
+    # sys.get_int_max_str_digits() (0: no limit); within a digit of the
+    # limit the count is checked exactly.  C(m+1, 1) costs nothing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and min(m, n) > 1:
+        digits = _log10_binomial(m + n, min(m, n))
+        if digits > limit - 1 and (digits >= limit + 1 or comb(m + n, n) - less >= 10 ** limit):
+            raise CountTooLarge(over_limit(
+                int(digits) + 1, f"digits of C({m + n}, {n})", limit, estimated=True))
+    return comb(m + n, n) - less
 
 
 def max_hypersurfaces(n: int, m: int) -> int:
@@ -16,7 +44,7 @@ def max_hypersurfaces(n: int, m: int) -> int:
     non-degenerate curve in projective n-space: C(m+n, n) - m*n - 1."""
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    return comb(m + n, n) - m * n - 1
+    return _binomial_less(n, m, m * n + 1)
 
 
 def next_hypersurface_bound(n: int, m: int) -> int:
@@ -27,7 +55,7 @@ def next_hypersurface_bound(n: int, m: int) -> int:
     """
     if n < 2 or m < 2:
         raise ValueError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-    return comb(m + n, n) - m * (n + 1)
+    return _binomial_less(n, m, m * (n + 1))
 
 
 def quadric_bound(c: int) -> int:

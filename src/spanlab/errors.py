@@ -1,4 +1,17 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the text of budget errors."""
+
+from math import log10
+
+
+def over_limit(count: int, what: str, limit: int, estimated: bool = False) -> str:
+    """The message of every budget error: ``<count> <what> exceed the limit
+    of <limit>``.  A count of more than 12 digits reads ``about 10^k``, and
+    an estimated one ``about <count>``."""
+    if count >= 10 ** 12:
+        shown = f"about 10^{int(log10(count))}"
+    else:
+        shown = f"about {count}" if estimated else f"{count}"
+    return f"{shown} {what} exceed the limit of {limit}"
 
 
 class SpanlabError(Exception):
@@ -42,6 +55,11 @@ class SumsetTooLarge(SpanlabError):
 class EnumerationTooLarge(SpanlabError):
     """Listing the degree-m monomials would write more entries than the
     fixed limit on the enumeration that keeps time and memory bounded."""
+
+
+class CountTooLarge(SpanlabError):
+    """A closed-form count would have more decimal digits than Python
+    converts an integer to text (``sys.get_int_max_str_digits()``)."""
 
 
 class LengthMismatch(SpanlabError):

@@ -129,7 +129,8 @@ class JetSystem:
     """n+1 local sections as exact polynomials with rational coefficients.
 
     Being immutable, the system computes on first use and caches what every
-    rank below derives from it: ``adapted_orders`` and ``integer_sections``.
+    rank below derives from it: ``integer_sections``, their echelon rows
+    ``_pivots`` and the ``adapted_orders`` where those lead.
     """
 
     sections: tuple[tuple[Fraction, ...], ...]
@@ -260,20 +261,32 @@ def adapted_basis(system: JetSystem) -> tuple[VanishingSequence, list[tuple[Frac
 
 
 def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
-    """Degree-m products of the sections, cut below t^n_coeffs, as sparse
-    integer rows {column: coefficient} without zero entries, each unpacked
-    when it is read.
+    """Degree-m products of the adapted basis, cut below t^n_coeffs, as
+    sparse integer rows {column: coefficient} without zero entries, each
+    unpacked when it is read.
+
+    The basis is the echelon rows ``system._pivots`` in order of their lead,
+    row i leading at a_i, so the product over xi leads at the weight of xi
+    whatever basis the sections were given in; it spans what the sections
+    span, so every rank and kernel dimension is that of their products.
 
     Monomials and rows come from the degree-by-degree growth that lists the
-    weight classes, in ``monomials_of_degree(m, n+1)`` order.  The sections
-    are Kronecker-packed into one integer each, with slots of k bits where
-    2^(k-1) exceeds B = (largest section L1 norm)^m, which bounds every
+    weight classes, in ``monomials_of_degree(m, n+1)`` order.  The basis
+    rows are Kronecker-packed into one integer each, with slots of k bits
+    where 2^(k-1) exceeds B = (largest row L1 norm)^m, which bounds every
     coefficient of a degree-m product; each value is then its parent's
-    times one packed section, a single big-integer multiply.  Coefficients
+    times one packed row, a single big-integer multiply.  Coefficients
     below t^N of a product depend only on the factors' coefficients below
-    t^N, so cutting the sections and the unpacked rows at N is exact.
+    t^N, so cutting the basis rows and the unpacked rows at N is exact.
     """
-    secs = [sec[:n_coeffs] for sec in system.integer_sections]
+    width = min(system.poly_degree + 1, n_coeffs)
+    secs = []
+    for a in sorted(system._pivots):
+        row = [0] * width
+        for c, v in system._pivots[a].items():
+            if c < width:
+                row[c] = v
+        secs.append(row)
     # Before B is computed: B has about m times the bits of the norm.
     _check_enumeration(m, len(secs), n_coeffs)
     k = (max(sum(map(abs, sec)) for sec in secs) ** m).bit_length() + 1
@@ -314,7 +327,8 @@ class FiltrationProfile:
 
 
 def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
-    """Per-weight dimensions of the kernel of the degree-m product map.
+    """Per-weight dimensions of the kernel of the degree-m product map,
+    taken in the adapted basis, so they depend only on the sections' span.
 
     One elimination of the degree-m product rows, cut at m * deg + 1 where
     they end: rows go in by descending weight, so the rows of weight j that

@@ -17,7 +17,7 @@ from math import comb
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated
+from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated, over_limit
 from .sequences import VanishingSequence
 
 Monomial = tuple[int, ...]
@@ -38,9 +38,9 @@ def _check_enumeration(m: int, nvars: int, width: int = 0) -> None:
         raise ValueError(f"degree must be >= 0, got {m}")
     entries = comb(m + nvars, nvars) * (nvars + width)
     if entries > MAX_ENUMERATED_ENTRIES:
-        raise EnumerationTooLarge(
-            f"{entries} entries for the degree-{m} monomials in {nvars} variables "
-            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
+        raise EnumerationTooLarge(over_limit(
+            entries, f"entries for the degree-{m} monomials in {nvars} variables",
+            MAX_ENUMERATED_ENTRIES))
 
 
 def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> Iterator[list]:
@@ -364,12 +364,36 @@ def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:
     return ids
 
 
-def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[list[Move], NonEquivalent]:
-    """Shortest move sequence turning xi into eta, found by breadth-first search.
+def _moves_out(pos: Monomial, targets: list) -> Iterator[tuple[Move, Monomial]]:
+    # Every move out of pos with the position it leads to, in ascending
+    # (i, j, k, l) order: two pieces leave occupied squares i <= j for
+    # another pair (k, l) of equal weight sum.
+    occupied = [i for i, k in enumerate(pos) if k]
+    for a, i in enumerate(occupied):
+        for j in occupied[a:]:
+            moves = targets[i][j]
+            if not moves or (i == j and pos[i] < 2):
+                continue
+            base = list(pos)
+            base[i] -= 1
+            base[j] -= 1
+            for k, l, move in moves:
+                out = base.copy()
+                out[k] += 1
+                out[l] += 1
+                yield move, tuple(out)
 
-    Both monomials must have equal degree and equal weight.  When they sit in
-    different components, returns the component ids instead of a trace.
-    Raises ``EnumerationTooLarge`` before the positions the search builds,
+
+def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[list[Move], NonEquivalent]:
+    """Shortest move sequence turning xi into eta, found by a two-sided search.
+
+    Both monomials must have equal degree and equal weight.  A ball grows
+    from each, one whole layer at a time and the smaller frontier first,
+    until they meet; of the shortest traces the one returned is the least in
+    the (i, j, k, l) order of its moves, the trace a breadth-first search
+    from xi alone finds.  When the monomials sit in different components,
+    returns their component ids instead, as soon as either ball runs out.
+    Raises ``EnumerationTooLarge`` before the positions the two balls build,
     at one entry per variable each, would exceed ``MAX_ENUMERATED_ENTRIES``.
     """
     if len(xi) != len(seq) or len(eta) != len(seq):
@@ -382,52 +406,52 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
     if xi == eta:
         return []
     targets = _pair_targets(seq)
-    # Every position built counts, seen before or not, one entry per variable.
+    # Every position a ball builds counts, seen before or not, one entry per
+    # variable; the walk below only revisits counted positions.
     built, max_built = 0, MAX_ENUMERATED_ENTRIES // len(seq)
-    parent: dict[Monomial, tuple[Monomial, Move]] = {xi: (xi, ((0, 0), (0, 0)))}
-    frontier = [xi]
-    while frontier:
-        nxt = []
-        for pos in frontier:
-            # Two pieces leave occupied squares i <= j for another pair
-            # (k, l) of equal weight sum.  Neighbours come in ascending
-            # (i, j, k, l) order, which fixes the trace returned.
-            occupied = [i for i, k in enumerate(pos) if k]
-            for a, i in enumerate(occupied):
-                for j in occupied[a:]:
-                    if i == j and pos[i] < 2:
-                        continue
-                    moves = targets[i][j]
-                    if not moves:
-                        continue
-                    built += len(moves)
-                    if built > max_built:
-                        raise EnumerationTooLarge(
-                            f"{built * len(seq)} entries for the move search from {xi} "
-                            f"exceed the limit of {MAX_ENUMERATED_ENTRIES}")
-                    base = list(pos)
-                    base[i] -= 1
-                    base[j] -= 1
-                    for k, l, move in moves:
-                        out = base.copy()
-                        out[k] += 1
-                        out[l] += 1
-                        new = tuple(out)
-                        if new in parent:
-                            continue
-                        parent[new] = (pos, move)
-                        if new == eta:
-                            trace = []
-                            cur = eta
-                            while cur != xi:
-                                cur, mv = parent[cur]
-                                trace.append(mv)
-                            trace.reverse()
-                            return trace
-                        nxt.append(new)
-        frontier = nxt
-    ids = _component_ids(seq, degree(xi))
-    return NonEquivalent(ids[xi], ids[eta])
+    # The ball around xi is a breadth-first tree: each position keeps the
+    # position and move that first reached it, and with neighbours in
+    # ascending (i, j, k, l) order its tree path is its least shortest path.
+    # The ball around eta keeps each position's distance to eta.
+    from_xi: dict[Monomial, Optional[tuple[Monomial, Move]]] = {xi: None}
+    to_eta = {eta: 0}
+    frontier = [[xi], [eta]]
+    meet = None
+    while meet is None:
+        side = int(len(frontier[1]) < len(frontier[0]))
+        seen = to_eta if side else from_xi
+        distance = to_eta[frontier[1][0]] + 1  # of a new position around eta
+        layer = []
+        for pos in frontier[side]:
+            for move, new in _moves_out(pos, targets):
+                built += 1
+                if built > max_built:
+                    raise EnumerationTooLarge(over_limit(
+                        built * len(seq), f"entries for the move search from {xi}",
+                        MAX_ENUMERATED_ENTRIES))
+                if new not in seen:
+                    seen[new] = distance if side else (pos, move)
+                    layer.append(new)
+        if not layer:
+            ids = _component_ids(seq, degree(xi))
+            return NonEquivalent(ids[xi], ids[eta])
+        frontier[side] = layer
+        # The balls first share positions at one distance from xi; the first
+        # of them that xi's ball reached ends the least prefix of a shortest
+        # trace.
+        meet = next((pos for pos in frontier[0] if pos in to_eta), None)
+    trace = []
+    pos = meet
+    while from_xi[pos] is not None:
+        pos, move = from_xi[pos]
+        trace.append(move)
+    trace.reverse()
+    # From there the least move to a position one step closer to eta.
+    pos = meet
+    for togo in range(to_eta[meet] - 1, -1, -1):
+        move, pos = next(step for step in _moves_out(pos, targets) if to_eta.get(step[1]) == togo)
+        trace.append(move)
+    return trace
 
 
 def ap_move_strategy(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Optional[bool]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .errors import EmptyGenerators, GcdNotOne, NegativeEntry, SemigroupTooLarge
+from .errors import EmptyGenerators, GcdNotOne, NegativeEntry, SemigroupTooLarge, over_limit
 from .sequences import VanishingSequence, normalize
 from .span import span_sequence
 
@@ -113,7 +113,7 @@ def semigroup_of(generators: Iterable[int]) -> NumericalSemigroup:
     a = gens[0]
     count = _gap_count(w)
     if count > MAX_GAPS:
-        raise SemigroupTooLarge(f"{count} gaps exceed the limit of {MAX_GAPS}")
+        raise SemigroupTooLarge(over_limit(count, "gaps", MAX_GAPS))
     gaps = sorted(g for r in range(1, a) for g in range(r, w[r], a))
     return NumericalSemigroup(tuple(gens), tuple(gaps), max(w) - a)
 

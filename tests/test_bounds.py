@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from spanlab import (
+    CountTooLarge,
     ap_sequence,
     check_weight_budget,
     max_hypersurfaces,
@@ -80,3 +83,29 @@ class TestConsistency:
     def test_jump_jets_attain_next(self, n, m):
         dim = sym_power_dim(monomial_system(near_ap_high(n, 1)), m)
         assert comb(m + n, n) - dim == next_hypersurface_bound(n, m)
+
+
+class TestCountLimit:
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 3000])
+    def test_refused_exactly_past_the_digit_limit(self, n):
+        # Around the least m with C(m+n, n) >= 10^limit, each count is its
+        # formula while it has at most `limit` digits, and refused past that.
+        limit = sys.get_int_max_str_digits()
+        lo, hi = 2, 2
+        while comb(hi + n, n) < 10 ** limit:
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if comb(mid + n, n) >= 10 ** limit else (mid + 1, hi)
+        for m in range(max(2, lo - 3), lo + 4):
+            for count, less in ((max_hypersurfaces, m * n + 1), (next_hypersurface_bound, m * (n + 1))):
+                want = comb(m + n, n) - less
+                if want < 10 ** limit:
+                    assert count(n, m) == want
+                else:
+                    with pytest.raises(CountTooLarge, match=f"digits of C\\({m + n}, {n}\\) exceed "
+                                                            f"the limit of {limit}$"):
+                        count(n, m)
+
+    def test_one_dimensional_count_is_zero_at_any_degree(self):
+        assert max_hypersurfaces(1, 10 ** 5000) == 0

@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -54,6 +54,13 @@ def _naive_row(secs, xi, n_coeffs):
         for _ in range(k):
             expected = _naive_mul(expected, sec, n_coeffs)
     return {c: v for c, v in enumerate(expected) if v}
+
+
+def _adapted_sections(system):
+    # The echelon rows of the sections as coefficient lists, in order of
+    # their lead: the basis whose products _product_rows lists.
+    pivots = system._pivots
+    return [[pivots[a].get(c, 0) for c in range(system.poly_degree + 1)] for a in sorted(pivots)]
 
 
 def _sympy_rank(rows, width):
@@ -181,10 +188,11 @@ _MODEL_SYSTEMS = [
 class TestProductRows:
     @pytest.mark.parametrize("make,entries,seed", _MODEL_SYSTEMS)
     def test_rows_match_naive_products(self, make, entries, seed):
-        # Each row is the truncated product of sec_i^k_i over its monomial,
-        # without zero entries; rows come in monomials_of_degree order.
+        # Each row is the truncated product of the adapted basis, b_i^k_i
+        # over its monomial, without zero entries; rows come in
+        # monomials_of_degree order.
         system = make(validate(entries), seed=seed)
-        secs = system.integer_sections
+        secs = _adapted_sections(system)
         for m in range(4):
             for n_coeffs in (m * entries[-1] + 1, m * system.poly_degree + 1):
                 monos, rows = _product_rows(system, m, n_coeffs)
@@ -194,7 +202,11 @@ class TestProductRows:
 
     @given(_jet_systems(), st.integers(0, 4), st.data())
     def test_packed_rows_match_naive_products(self, system, m, data):
-        secs = system.integer_sections
+        # Dependent sections have no adapted basis.
+        try:
+            secs = _adapted_sections(system)
+        except DegenerateWithinTruncation:
+            return
         top = max(map(len, secs))
         n_coeffs = data.draw(st.integers(1, m * top + 2))
         monos, rows = _product_rows(system, m, n_coeffs)
@@ -225,6 +237,7 @@ class TestProductRows:
         secs = ((1,) + tuple(rng.randint(-9, 9) for _ in range(89)),
                 (0, 1) + tuple(rng.randint(-9, 9) for _ in range(88)))
         system = JetSystem(secs)
+        secs = _adapted_sections(system)
         for m in (1, 2, 3):
             for n_coeffs in (64, 65, 129, 130, m * 89 + 1):
                 monos, rows = _product_rows(system, m, n_coeffs)
@@ -517,6 +530,28 @@ class TestCutReading:
 
 
 class TestFiltration:
+    @settings(max_examples=40, deadline=None)
+    @given(_jet_systems(), st.integers(1, 3), st.data())
+    def test_change_of_basis_leaves_the_profile(self, system, m, data):
+        # The profile belongs to the span: permuting and scaling the sections
+        # and adding multiples of one to another read the same.
+        try:
+            system.adapted_orders
+        except DegenerateWithinTruncation:
+            return
+        width = system.poly_degree + 1
+        sections = [[F(c) * data.draw(st.sampled_from([1, -1, 2, F(1, 3)])) for c in sec]
+                    + [F(0)] * (width - len(sec)) for sec in system.sections]
+        sections = data.draw(st.permutations(sections))
+        for later in (True, False):  # two unit-triangular steps
+            for j in range(len(sections)):
+                for i in range(len(sections)):
+                    c = data.draw(st.integers(-3, 3))
+                    if (i > j) == later and i != j and c:
+                        sections[j] = [x + c * y for x, y in zip(sections[j], sections[i])]
+        changed = JetSystem(tuple(map(tuple, sections)))
+        assert filtration_profile(changed, m) == filtration_profile(system, m)
+
     def test_monomial_model_attains_class_counts(self):
         for entries in [(0, 1, 2), (0, 1, 3), (0, 1, 2, 4)]:
             seq = validate(entries)

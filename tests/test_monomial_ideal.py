@@ -37,7 +37,8 @@ from spanlab import (
     weight_class,
 )
 from spanlab import monomial_ideal
-from spanlab.monomial_ideal import _component_ids, _components, _weight_classes
+from spanlab.errors import over_limit
+from spanlab.monomial_ideal import _component_ids, _components, _pair_targets, _weight_classes
 
 
 class TestBasics:
@@ -103,6 +104,18 @@ class TestEnumerationBudget:
             bigraded_dims(seq, 7)
         with pytest.raises(EnumerationTooLarge):
             generation_scan(seq, 7)
+
+    def test_message_counts(self):
+        # In full up to 12 digits, about 10^k past that; the limit in full.
+        assert over_limit(999_999_999_999, "entries", 7) == "999999999999 entries exceed the limit of 7"
+        assert over_limit(10 ** 12, "entries", 7) == "about 10^12 entries exceed the limit of 7"
+        assert over_limit(17 * 10 ** 68, "gaps", 10 ** 13) == (
+            "about 10^69 gaps exceed the limit of 10000000000000")
+        assert over_limit(42, "digits", 7, estimated=True) == "about 42 digits exceed the limit of 7"
+        with pytest.raises(EnumerationTooLarge, match=(
+                r"^about 10\^69 entries for the degree-1000000000 monomials in 7 variables "
+                r"exceed the limit of 2000000$")):
+            monomial_ideal._check_enumeration(10 ** 9, 7, 9 * 10 ** 9 + 1)
 
 
 class TestBigradedDims:
@@ -425,3 +438,99 @@ _RECORDED_TRACES = [
 @pytest.mark.parametrize("entries,source,target,expected", _RECORDED_TRACES)
 def test_move_trace_recorded(entries, source, target, expected):
     assert move_trace(source, target, validate(entries)) == expected
+
+
+def bfs_move_trace(xi, eta, seq):
+    """Oracle: the one-sided breadth-first search that ``move_trace`` replaced.
+
+    Its tree path to eta is the least shortest trace in the (i, j, k, l)
+    order of the moves, the trace ``move_trace`` must return.
+    """
+    if len(xi) != len(seq) or len(eta) != len(seq):
+        raise LengthMismatch("exponent tuples must match the sequence length")
+    if min(xi) < 0 or min(eta) < 0:
+        raise PreconditionViolated("exponents must be non-negative")
+    if degree(xi) != degree(eta) or weight(xi, seq) != weight(eta, seq):
+        raise PreconditionViolated(
+            f"{xi} and {eta} differ in degree or weight; no move sequence can join them")
+    if xi == eta:
+        return []
+    targets = _pair_targets(seq)
+    # Every position built counts, seen before or not, one entry per variable.
+    built, max_built = 0, monomial_ideal.MAX_ENUMERATED_ENTRIES // len(seq)
+    parent = {xi: (xi, ((0, 0), (0, 0)))}
+    frontier = [xi]
+    while frontier:
+        nxt = []
+        for pos in frontier:
+            # Two pieces leave occupied squares i <= j for another pair
+            # (k, l) of equal weight sum.  Neighbours come in ascending
+            # (i, j, k, l) order, which fixes the trace returned.
+            occupied = [i for i, k in enumerate(pos) if k]
+            for a, i in enumerate(occupied):
+                for j in occupied[a:]:
+                    if i == j and pos[i] < 2:
+                        continue
+                    moves = targets[i][j]
+                    if not moves:
+                        continue
+                    built += len(moves)
+                    if built > max_built:
+                        raise EnumerationTooLarge(
+                            f"{built * len(seq)} entries for the move search from {xi} "
+                            f"exceed the limit of {monomial_ideal.MAX_ENUMERATED_ENTRIES}")
+                    base = list(pos)
+                    base[i] -= 1
+                    base[j] -= 1
+                    for k, l, move in moves:
+                        out = base.copy()
+                        out[k] += 1
+                        out[l] += 1
+                        new = tuple(out)
+                        if new in parent:
+                            continue
+                        parent[new] = (pos, move)
+                        if new == eta:
+                            trace = []
+                            cur = eta
+                            while cur != xi:
+                                cur, mv = parent[cur]
+                                trace.append(mv)
+                            trace.reverse()
+                            return trace
+                        nxt.append(new)
+        frontier = nxt
+    ids = _component_ids(seq, degree(xi))
+    return NonEquivalent(ids[xi], ids[eta])
+
+
+@st.composite
+def equal_weight_pairs(draw):
+    n = draw(st.integers(2, 6))
+    entries = draw(st.lists(st.integers(0, 14), min_size=n + 1, max_size=n + 1, unique=True))
+    seq = validate(sorted(entries))
+    xi = draw(st.sampled_from(monomials_of_degree(draw(st.integers(1, 8)), n + 1)))
+    members = weight_class(seq, degree(xi), weight(xi, seq))
+    return seq, xi, draw(st.sampled_from(members))
+
+
+class TestMoveTraceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(equal_weight_pairs())
+    def test_matches_breadth_first_search(self, pair):
+        seq, xi, eta = pair
+        assert move_trace(xi, eta, seq) == bfs_move_trace(xi, eta, seq)
+
+    @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3)])
+    def test_split_pairs_match_breadth_first_search(self, entries):
+        # The first members of every two components of a weight class, up
+        # to degree 8: (0, 2, 3) is the mirror of (0, 1, 3).
+        seq = validate(entries)
+        pairs = [(comps[a][0], comps[b][0])
+                 for m in range(2, 9) for _, comps in _components(seq, m, 2)
+                 for a in range(len(comps)) for b in range(len(comps)) if a != b]
+        assert len(pairs) == 132
+        for xi, eta in pairs:
+            outcome = move_trace(xi, eta, seq)
+            assert isinstance(outcome, NonEquivalent)
+            assert outcome == bfs_move_trace(xi, eta, seq)

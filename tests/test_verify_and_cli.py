@@ -176,6 +176,17 @@ class TestCli:
         code, out = run_cli(capsys, "jets", "profile", "--sections-file", str(path), "--m", "2", "--json")
         assert json.loads(out)["result"]["kernel_dim"] == 0
 
+    def test_profile_reads_the_span_not_the_basis(self, capsys, tmp_path):
+        # Both files span 1, t, t^3, whose one degree-3 relation
+        # x_1^3 - x_0^2 x_2 has weight 3.
+        path = tmp_path / "sections.json"
+        for sections in ([["1"], ["1", "1"], ["0", "0", "0", "1"]],
+                         [["1"], ["0", "1"], ["0", "0", "0", "1"]]):
+            path.write_text(json.dumps(sections))
+            code, out = run_cli(capsys, "jets", "profile", "--sections-file", str(path), "--m", "3")
+            assert code == 0
+            assert out == "degree-3 relation space: dim 1\n  weight 3: 1\n"
+
     def test_jets_estimate(self, capsys, tmp_path):
         path = tmp_path / "sections.json"
         path.write_text(json.dumps([["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "0", "1"]]))
@@ -361,6 +372,20 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--n", "100000", "--m", "100000"],
+                                      ["--n", "1000000", "--m", "1000000", "--json"]])
+    def test_oversized_hypersurface_count_fails_fast(self, capsys, argv):
+        # C(200000, 100000) has about 60,000 digits, more than Python writes
+        # as text; it is refused before it is computed.
+        start = time.perf_counter()
+        code = main(["bounds", "hypersurfaces", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: about ") and err.endswith(
+            f"digits of C({2 * int(argv[1])}, {argv[1]}) exceed the limit of {sys.get_int_max_str_digits()}\n")
 
     @pytest.mark.parametrize("argv", [
         ["ideal", "dims", "--seq", ",".join(map(str, range(16))), "--m", "20"],
