@@ -9,7 +9,7 @@ sweeps tying it all together.
 
 from .errors import (
     CountTooLarge,
-    DegenerateWithinTruncation,
+    DependentSections,
     EmptyGenerators,
     EnumerationTooLarge,
     GcdNotOne,
@@ -62,18 +62,14 @@ from .monomial_ideal import (
     Monomial,
     Move,
     NonEquivalent,
-    ap_move_strategy,
     apply_move,
     bigraded_dims,
     degree,
     equivalence_report,
-    exchange_degree,
     generation_degree,
     generation_scan,
-    interlaced,
     monomials_of_degree,
     move_trace,
-    support,
     t_neighbors,
     weight,
     weight_class,

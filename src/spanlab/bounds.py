@@ -1,15 +1,15 @@
 """Closed-form counting bounds for hypersurfaces through curves.
 
 All formulas are exact integer arithmetic; Python integers never overflow,
-but a count of more decimal digits than Python writes as text is refused
-before it is computed.  The companion rank computations live in ``jets``;
-nothing here claims any geometric classification on its own.
+but a count of more decimal digits than Python writes as text is refused,
+a binomial before it is computed.  The companion rank computations live in
+``jets``; nothing here claims any geometric classification on its own.
 """
 
 from __future__ import annotations
 
 import sys
-from math import comb, log, log1p, pi
+from math import comb, log, log10, log1p, pi
 from typing import Sequence
 
 from .errors import CountTooLarge, over_limit
@@ -25,18 +25,28 @@ def _log10_binomial(total: int, k: int) -> float:
     return nats / log(10)
 
 
+# The most decimal digits Python writes an integer with; 0: no limit.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _printable(count: int, what: str, *args) -> int:
+    # The count, or CountTooLarge past the digits Python writes (below 3 *
+    # limit bits it has fewer).  The name what.format(*args) is built only
+    # then: the numbers in it can be too long to write as well.
+    limit = _max_str_digits()
+    if limit and abs(count).bit_length() > 3 * limit and abs(count) >= 10 ** limit:
+        raise CountTooLarge(over_limit(
+            int(log10(abs(count))) + 1, f"digits of {what.format(*args)}", limit, estimated=True))
+    return count
+
+
 def _binomial_less(n: int, m: int, less: int) -> int:
-    # C(m+n, n) - less, with less < C(m+n, n) / 2 when m, n >= 2.  Raises
-    # CountTooLarge, before comb runs, when that has more decimal digits than
-    # sys.get_int_max_str_digits() (0: no limit); within a digit of the
-    # limit the count is checked exactly.  C(m+1, 1) costs nothing.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and min(m, n) > 1:
-        digits = _log10_binomial(m + n, min(m, n))
-        if digits > limit - 1 and (digits >= limit + 1 or comb(m + n, n) - less >= 10 ** limit):
-            raise CountTooLarge(over_limit(
-                int(digits) + 1, f"digits of C({m + n}, {n})", limit, estimated=True))
-    return comb(m + n, n) - less
+    # C(m+n, n) - less through _printable; with m, n >= 2, less < C(m+n, n) / 2,
+    # and a count Stirling puts a digit or more past the limit is refused before comb.
+    limit = _max_str_digits()
+    if limit and min(m, n) > 1 and (digits := _log10_binomial(m + n, min(m, n))) >= limit + 1:
+        raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({m + n}, {n})", limit, estimated=True))
+    return _printable(comb(m + n, n) - less, "C({}, {})", m + n, n)
 
 
 def max_hypersurfaces(n: int, m: int) -> int:
@@ -70,11 +80,11 @@ def pluecker_budget(n: int, d: int, g: int) -> int:
     (n+1)*d + n*(n+1)*(g-1)."""
     if n < 1 or d < 1 or g < 0:
         raise ValueError(f"need n >= 1, d >= 1, g >= 0, got n={n}, d={d}, g={g}")
-    return (n + 1) * d + n * (n + 1) * (g - 1)
+    return _printable((n + 1) * d + n * (n + 1) * (g - 1), "the total inflection weight")
 
 
 def check_weight_budget(n: int, d: int, g: int, weights: Sequence[int]) -> bool:
     """Whether the given point weights exhaust the total inflection budget."""
     if any(w < 1 for w in weights):
         raise ValueError("point weights must be >= 1")
-    return sum(weights) == pluecker_budget(n, d, g)
+    return _printable(sum(weights), "the weight sum") == pluecker_budget(n, d, g)

@@ -70,7 +70,7 @@ class PreconditionViolated(SpanlabError):
     """Operation called on inputs outside its stated domain."""
 
 
-class DegenerateWithinTruncation(SpanlabError):
+class DependentSections(SpanlabError):
     """The sections are linearly dependent, so they have no adapted orders
     and no product rank is defined."""
 

@@ -18,11 +18,11 @@ from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import _linalg
 from .errors import (
-    DegenerateWithinTruncation,
+    DependentSections,
     HypothesisFailed,
     NotLinearOnRange,
     PropagationFailed,
@@ -129,8 +129,8 @@ class JetSystem:
     """n+1 local sections as exact polynomials with rational coefficients.
 
     Being immutable, the system computes on first use and caches what every
-    rank below derives from it: ``integer_sections``, their echelon rows
-    ``_pivots`` and the ``adapted_orders`` where those lead.
+    rank below derives from it: its integer echelon rows ``_basis`` and the
+    ``adapted_orders`` where those lead.
     """
 
     sections: tuple[tuple[Fraction, ...], ...]
@@ -155,26 +155,26 @@ class JetSystem:
         return max(len(sec) - 1 for sec in self.sections)
 
     @cached_property
-    def _pivots(self) -> Mapping[int, dict[int, int]]:
-        """Echelon rows of the integer sections keyed by leading order; the
-        keys are the vanishing orders of the span.  Raises
-        ``DegenerateWithinTruncation`` when a section adds nothing to it."""
+    def _basis(self) -> dict[int, list[int]]:
+        """Echelon rows of the sections scaled to integers (no rank changes),
+        dense to deg + 1, keyed by lead in ascending order: the vanishing
+        orders of the span.  Dependent sections raise ``DependentSections``."""
         ech = _linalg.IncrementalRank()
-        for sec in self.integer_sections:
-            if ech.add({c: v for c, v in enumerate(sec) if v}) is None:
-                raise DegenerateWithinTruncation("sections are linearly dependent")
-        return ech.pivots
+        for sec in self.sections:
+            if ech.add({c: v for c, v in enumerate(_cleared(sec)[1]) if v}) is None:
+                raise DependentSections("sections are linearly dependent")
+        width = self.poly_degree + 1
+        basis = {}
+        for lead, pivot in sorted(ech.pivots.items()):
+            row = basis[lead] = [0] * width
+            for c, v in pivot.items():
+                row[c] = v
+        return basis
 
     @cached_property
     def adapted_orders(self) -> VanishingSequence:
         """The strictly increasing vanishing orders a_0 < ... < a_n of the span."""
-        return VanishingSequence(tuple(sorted(self._pivots)))
-
-    @cached_property
-    def integer_sections(self) -> tuple[tuple[int, ...], ...]:
-        """Each section scaled to integers: that rescales each product row,
-        which changes no rank, kernel or weight-filtration dimension."""
-        return tuple(tuple(_cleared(sec)[1]) for sec in self.sections)
+        return VanishingSequence(tuple(self._basis))
 
 
 def monomial_system(seq: VanishingSequence) -> JetSystem:
@@ -242,22 +242,19 @@ def adapted_basis(system: JetSystem) -> tuple[VanishingSequence, list[tuple[Frac
     on each call, one coefficient tuple per order, deg + 1 long: the i-th is
     t^{a_i} plus terms at orders outside the sequence.  That is the reduced
     row echelon form of the sections, so it does not depend on how they are
-    given.  Raises ``DegenerateWithinTruncation`` when the sections are
-    linearly dependent.
+    given.  Raises ``DependentSections`` when the sections are linearly
+    dependent.
     """
-    orders = system.adapted_orders
-    width = system.poly_degree + 1
     # From the highest order down: scale each echelon row to lead 1, then
     # clear its entries at the higher orders with the rows already reduced.
     reduced: dict[int, list[Fraction]] = {}
-    for a in reversed(orders.entries):
-        pivot = system._pivots[a]
-        row = [Fraction(pivot.get(c, 0), pivot[a]) for c in range(width)]
+    for a, pivot in reversed(system._basis.items()):
+        row = [Fraction(v, pivot[a]) for v in pivot]
         for b, lower in reduced.items():
             f = row[b]
             row = [x - f * y for x, y in zip(row, lower)]
         reduced[a] = row
-    return orders, [tuple(reduced[a]) for a in orders]
+    return system.adapted_orders, [tuple(reduced[a]) for a in system._basis]
 
 
 def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
@@ -265,7 +262,7 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     sparse integer rows {column: coefficient} without zero entries, each
     unpacked when it is read.
 
-    The basis is the echelon rows ``system._pivots`` in order of their lead,
+    The basis is the echelon rows ``system._basis`` in order of their lead,
     row i leading at a_i, so the product over xi leads at the weight of xi
     whatever basis the sections were given in; it spans what the sections
     span, so every rank and kernel dimension is that of their products.
@@ -279,14 +276,7 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     below t^N of a product depend only on the factors' coefficients below
     t^N, so cutting the basis rows and the unpacked rows at N is exact.
     """
-    width = min(system.poly_degree + 1, n_coeffs)
-    secs = []
-    for a in sorted(system._pivots):
-        row = [0] * width
-        for c, v in system._pivots[a].items():
-            if c < width:
-                row[c] = v
-        secs.append(row)
+    secs = [row[:n_coeffs] for row in system._basis.values()]
     # Before B is computed: B has about m times the bits of the norm.
     _check_enumeration(m, len(secs), n_coeffs)
     k = (max(sum(map(abs, sec)) for sec in secs) ** m).bit_length() + 1

@@ -84,29 +84,6 @@ def weight(xi: Monomial, seq: VanishingSequence) -> int:
     return sum(a * k for a, k in zip(seq, xi))
 
 
-def support(xi: Monomial) -> set[int]:
-    """Indices of the variables actually present."""
-    return {i for i, k in enumerate(xi) if k}
-
-
-def interlaced(u, v) -> bool:
-    """True when one set has an element strictly between two elements of the other."""
-    u, v = set(u), set(v)
-    if not u or not v:
-        return False
-    return any(min(u) < q < max(u) for q in v) or any(min(v) < p < max(v) for p in u)
-
-
-def exchange_degree(xi: Monomial, eta: Monomial) -> int:
-    """Number of pieces that must move to turn xi into eta.
-
-    Equals the degree of the sub-monomials exchanged: the positive part of
-    the exponent difference.  Zero iff the monomials are equal (for equal
-    total degree).
-    """
-    return sum(d - e for d, e in zip(xi, eta) if d > e)
-
-
 @dataclass(frozen=True)
 class BigradedDims:
     """Degree-m dimension data of the weighted grading.
@@ -163,8 +140,9 @@ def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
     if t < 2:
         raise ValueError(f"neighbor order must be >= 2, got {t}")
     w = weight(xi, seq)
+    # At equal degrees the exchanged piece's degree is half the L1 distance,
+    # so the piece has degree at most t exactly when that is at most 2t.
     reach = 2 * t
-    # exchange_degree(xi, eta) <= t: at equal degrees, half the L1 distance.
     return [eta for eta in _weight_classes(seq, degree(xi)).get(w, ())
             if eta != xi and sum(map(abs, map(sub, xi, eta))) <= reach]
 
@@ -453,56 +431,3 @@ def move_trace(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Union[lis
         trace.append(move)
     return trace
 
-
-def ap_move_strategy(xi: Monomial, eta: Monomial, seq: VanishingSequence) -> Optional[bool]:
-    """Constructive equivalence certifier for arithmetic-progression sequences.
-
-    Walks two pieces of one position toward each other until one lands on a
-    square occupied by the other position, strips the now-common variable and
-    recurses.  Returns True when the walk certifies equivalence and None when
-    it does not apply (non-AP sequence or no interlacing step available); it
-    can never certify non-equivalence.
-    """
-    if not seq.is_arithmetic_progression():
-        return None
-    if degree(xi) != degree(eta) or weight(xi, seq) != weight(eta, seq):
-        raise PreconditionViolated("monomials must have equal degree and weight")
-
-    def meet(mover: Monomial, anchor: Monomial) -> Optional[Monomial]:
-        # Move two mover pieces straddling a square of the anchor inward
-        # (legal at every step because the sequence is an AP) until one of
-        # them lands on that square.
-        s_m, s_a = support(mover), support(anchor)
-        for q in sorted(s_a):
-            below = [p for p in s_m if p < q]
-            above = [p for p in s_m if p > q]
-            if below and above:
-                lo, hi = max(below), min(above)
-                steps = min(q - lo, hi - q)
-                out = list(mover)
-                out[lo] -= 1
-                out[hi] -= 1
-                out[lo + steps] += 1
-                out[hi - steps] += 1
-                return tuple(out)
-        return None
-
-    a, b = xi, eta
-    for _ in range(2 * degree(xi) + 1):
-        if a == b:
-            return True
-        common = support(a) & support(b)
-        if common:
-            i = min(common)
-            a = tuple(k - (idx == i) for idx, k in enumerate(a))
-            b = tuple(k - (idx == i) for idx, k in enumerate(b))
-            continue
-        moved = meet(a, b)
-        if moved is not None:
-            a = moved
-            continue
-        moved = meet(b, a)
-        if moved is None:
-            return None
-        b = moved
-    return None

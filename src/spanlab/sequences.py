@@ -50,10 +50,6 @@ class VanishingSequence:
         """Consecutive differences (a_1 - a_0, ..., a_n - a_{n-1})."""
         return tuple(b - a for a, b in zip(self.entries, self.entries[1:]))
 
-    def is_arithmetic_progression(self) -> bool:
-        d = self.differences()
-        return all(x == d[0] for x in d)
-
     def to_text(self) -> str:
         return ",".join(str(a) for a in self.entries)
 

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import SumsetTooLarge
+from .errors import SumsetTooLarge, over_limit
 from .sequences import VanishingSequence
 
-# Fail-fast limit on m * a_n, the top bit of the m-fold sumset bitmask.  The
-# time to build all of v_1, ..., v_m grows with m times this, so the limit
-# keeps every call well under a second for short sequences.
+# Fail-fast limits on the m-fold sumset bitmask: its top bit m * a_n, and the
+# work (n+1) * m * (m * a_n), twice the bits shifted to build v_1, ..., v_m;
+# (0, 1) at m = 100,000 meets the work limit and takes about a second.
 MAX_SUMSET_BITS = 1_000_000
+MAX_SUMSET_WORK = 2 * 10 ** 10
 
 
 class Verdict(str, Enum):
@@ -57,11 +58,13 @@ def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:
     # Characteristic bitmasks of v_1, ..., v_m; iterated sumset
     # v_{j+1} = v_j + entries.  Bit k set <=> k is a sum of exactly j entries.
     # OR-ing shifted copies is the sorted-merge dedup in disguise and is exact
-    # on Python ints.  The limit is checked before the first shift.
+    # on Python ints.  The limits are checked before the first shift.
     entries = seq.entries
-    if m * entries[-1] > MAX_SUMSET_BITS:
-        raise SumsetTooLarge(
-            f"{m}-fold sums up to {m * entries[-1]} exceed the limit of {MAX_SUMSET_BITS}")
+    top = m * entries[-1]
+    if top > MAX_SUMSET_BITS:
+        raise SumsetTooLarge(f"{m}-fold sums up to {top} exceed the limit of {MAX_SUMSET_BITS}")
+    if (work := len(entries) * m * top) > MAX_SUMSET_WORK:
+        raise SumsetTooLarge(over_limit(work, f"bits of work for the {m}-fold sums", MAX_SUMSET_WORK))
     mask = 0
     for a in entries:
         mask |= 1 << a

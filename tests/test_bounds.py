@@ -107,5 +107,19 @@ class TestCountLimit:
                                                             f"the limit of {limit}$"):
                         count(n, m)
 
+    def test_pluecker_counts_refused_exactly_past_the_digit_limit(self):
+        # At n = 1, g = 1 the budget is 2d: 10^limit - 2 has `limit` digits
+        # and is answered, 10^limit is refused; so is a weight sum of 10^limit.
+        limit = sys.get_int_max_str_digits()
+        d = 5 * 10 ** (limit - 1) - 1
+        assert pluecker_budget(1, d, 1) == 10 ** limit - 2
+        with pytest.raises(CountTooLarge, match=f"^about {limit + 1} digits of the total inflection "
+                                                f"weight exceed the limit of {limit}$"):
+            pluecker_budget(1, d + 1, 1)
+        assert check_weight_budget(1, d, 1, [10 ** limit - 3, 1])
+        assert not check_weight_budget(1, d, 1, [10 ** limit - 2, 1])
+        with pytest.raises(CountTooLarge, match=f"digits of the weight sum exceed the limit of {limit}$"):
+            check_weight_budget(1, d, 1, [10 ** limit - 1, 1])
+
     def test_one_dimensional_count_is_zero_at_any_degree(self):
         assert max_hypersurfaces(1, 10 ** 5000) == 0

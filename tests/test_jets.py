@@ -10,7 +10,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from spanlab import (
-    DegenerateWithinTruncation,
+    DependentSections,
     EnumerationTooLarge,
     HypothesisFailed,
     JetSystem,
@@ -59,8 +59,19 @@ def _naive_row(secs, xi, n_coeffs):
 def _adapted_sections(system):
     # The echelon rows of the sections as coefficient lists, in order of
     # their lead: the basis whose products _product_rows lists.
-    pivots = system._pivots
-    return [[pivots[a].get(c, 0) for c in range(system.poly_degree + 1)] for a in sorted(pivots)]
+    return [list(row) for row in system._basis.values()]
+
+
+def _scaled_sections(system):
+    # Each section times the lcm of its denominators, the lcm taken here
+    # pairwise through gcd.
+    scaled = []
+    for sec in system.sections:
+        d = 1
+        for c in sec:
+            d = d * c.denominator // gcd(d, c.denominator)
+        scaled.append([int(c * d) for c in sec])
+    return scaled
 
 
 def _sympy_rank(rows, width):
@@ -71,7 +82,7 @@ def _sympy_rank(rows, width):
 def _oracle_rank(system, m):
     # Rank of the dense degree-m product matrix of a polynomial system, its
     # rows multiplied out anew and ranked by sympy.
-    secs = system.integer_sections
+    secs = _scaled_sections(system)
     n_coeffs = m * system.poly_degree + 1
     return _sympy_rank([_naive_row(secs, xi, n_coeffs)
                         for xi in monomials_of_degree(m, len(secs))], n_coeffs)
@@ -131,16 +142,13 @@ class TestCoefficientText:
         assert system.sections == ((F(1),), (F(0), F(1)))
 
     @given(st.lists(_fractions, min_size=2, max_size=4))
-    def test_integer_sections_scale_by_the_lcm(self, sections):
-        # Each section times the lcm of its denominators, the lcm taken
-        # here pairwise through gcd.
+    def test_cleared_scales_by_the_lcm(self, sections):
         system = JetSystem(tuple(map(tuple, sections)))
-        for sec, ints in zip(system.sections, system.integer_sections):
-            d = 1
-            for c in sec:
-                d = d * c.denominator // gcd(d, c.denominator)
-            assert ints == tuple(int(c * d) for c in sec)
+        for sec, want in zip(system.sections, _scaled_sections(system)):
+            d, ints = jets._cleared(sec)
+            assert ints == want
             assert all(type(v) is int for v in ints)
+            assert all(c * d == v for c, v in zip(sec, ints))
 
     @pytest.mark.parametrize("text", ["three", "abc", "true", "1/two", "0x10", "inf", "1e", "e5", ""])
     def test_non_number_text_rejected(self, text):
@@ -205,7 +213,7 @@ class TestProductRows:
         # Dependent sections have no adapted basis.
         try:
             secs = _adapted_sections(system)
-        except DegenerateWithinTruncation:
+        except DependentSections:
             return
         top = max(map(len, secs))
         n_coeffs = data.draw(st.integers(1, m * top + 2))
@@ -265,7 +273,7 @@ def _check_against_rref(system) -> bool:
     # agree with sympy's rref.
     pivots, rows = _sympy_rref(system)
     if len(pivots) < len(system.sections):
-        with pytest.raises(DegenerateWithinTruncation):
+        with pytest.raises(DependentSections):
             adapted_basis(system)
         return False
     seq, basis = adapted_basis(system)
@@ -315,9 +323,9 @@ class TestAdaptedBasis:
         system = JetSystem(sections)
         message = "^sections are linearly dependent$"
         for _ in range(2):
-            with pytest.raises(DegenerateWithinTruncation, match=message):
+            with pytest.raises(DependentSections, match=message):
                 adapted_basis(system)
-            with pytest.raises(DegenerateWithinTruncation, match=message):
+            with pytest.raises(DependentSections, match=message):
                 sym_power_dim(system, 2)
 
     def test_orders_match_basis(self):
@@ -397,12 +405,12 @@ class TestSymPowerDim:
     @given(_jet_systems(), st.integers(0, 4))
     def test_polynomial_draws_match_sympy_rank(self, system, m):
         # Dependent sections have no adapted orders, so no rank above m = 0.
-        secs = system.integer_sections
+        secs = _scaled_sections(system)
         width = max(map(len, secs))
         independent = width and _sympy_rank(
             [dict(enumerate(sec)) for sec in secs], width) == len(secs)
         if m and not independent:
-            with pytest.raises(DegenerateWithinTruncation):
+            with pytest.raises(DependentSections):
                 sym_power_dim(system, m)
         else:
             assert sym_power_dim(system, m) == _oracle_rank(system, m)
@@ -428,7 +436,7 @@ class TestExactCut:
         # A wider cut adds no entry: no product has a coefficient past m * deg.
         try:
             system.adapted_orders
-        except DegenerateWithinTruncation:
+        except DependentSections:
             return
         cut = m * system.poly_degree + 1
         monos, rows = _product_rows(system, m, cut)
@@ -500,7 +508,7 @@ class TestCutReading:
     def test_polynomial_draws(self, system, m):
         try:
             system.adapted_orders
-        except DegenerateWithinTruncation:
+        except DependentSections:
             return
         expected = _two_pass_profile(system, m, m * system.poly_degree + 1)
         got = filtration_profile(system, m)
@@ -537,7 +545,7 @@ class TestFiltration:
         # and adding multiples of one to another read the same.
         try:
             system.adapted_orders
-        except DegenerateWithinTruncation:
+        except DependentSections:
             return
         width = system.poly_degree + 1
         sections = [[F(c) * data.draw(st.sampled_from([1, -1, 2, F(1, 3)])) for c in sec]

@@ -11,17 +11,14 @@ from spanlab import (
     LengthMismatch,
     NonEquivalent,
     PreconditionViolated,
-    ap_move_strategy,
     ap_sequence,
     apply_move,
     bigraded_dims,
     check_ideal_propagation,
     degree,
     equivalence_report,
-    exchange_degree,
     generation_degree,
     generation_scan,
-    interlaced,
     monomial_system,
     monomials_of_degree,
     move_trace,
@@ -30,7 +27,6 @@ from spanlab import (
     normalized_sequences,
     reverse,
     span,
-    support,
     t_neighbors,
     validate,
     weight,
@@ -51,17 +47,6 @@ class TestBasics:
     def test_weight_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             weight((1, 0), validate([0, 1, 3]))
-
-    def test_support(self):
-        assert support((2, 0, 1)) == {0, 2}
-        assert support((0, 3, 0)) == {1}
-        assert support((0, 0, 0)) == set()
-
-    def test_interlaced(self):
-        assert interlaced({0, 2}, {1})
-        assert not interlaced({0, 1}, {2, 3})
-        assert interlaced({1}, {0, 2})
-        assert not interlaced(set(), {1})
 
     @pytest.mark.parametrize("m,nvars", [(0, 3), (2, 3), (3, 4), (5, 2)])
     def test_monomial_enumeration(self, m, nvars):
@@ -148,11 +133,6 @@ class TestNeighbors:
         neighbors = t_neighbors((1, 0, 0, 1), seq, 2)
         assert (0, 1, 1, 0) in neighbors
 
-    def test_exchange_degree(self):
-        assert exchange_degree((1, 0, 1), (0, 2, 0)) == 2
-        assert exchange_degree((2, 0, 1), (0, 3, 0)) == 3
-        assert exchange_degree((1, 1, 1), (1, 1, 1)) == 0
-
 
 class TestEquivalence:
     def test_frozen_examples(self):
@@ -179,19 +159,6 @@ class TestEquivalence:
                 b = equivalence_report(reverse(seq), m, 2)
                 assert a.components == b.components
                 assert a.weight_classes == b.weight_classes
-
-    def test_interlaced_supports_exhaustive(self):
-        # Distinct equal-degree equal-weight monomials always interlace.
-        for seq in normalized_sequences(1, 3, 5):
-            for m in (2, 3):
-                monos = list(monomials_of_degree(m, len(seq)))
-                by_weight = {}
-                for xi in monos:
-                    by_weight.setdefault(weight(xi, seq), []).append(xi)
-                for members in by_weight.values():
-                    for i in range(len(members)):
-                        for j in range(i + 1, len(members)):
-                            assert interlaced(support(members[i]), support(members[j]))
 
 
 class TestGenerationDegree:
@@ -276,26 +243,20 @@ class TestMoveTrace:
                                 tuple(a + b for a, b in zip(eta, lam)), seq)
             assert not isinstance(lifted, NonEquivalent)
 
-
-class TestApStrategy:
-    def test_agrees_with_search_on_progressions(self):
+    def test_every_progression_pair_joins(self):
+        # Every two equal-weight monomials of an arithmetic progression are
+        # joined by two-piece moves.
         for n, d in [(2, 1), (3, 1), (3, 2), (4, 1)]:
             seq = ap_sequence(n, d)
             for m in (3, 4):
-                monos = list(monomials_of_degree(m, len(seq)))
-                by_weight = {}
-                for xi in monos:
-                    by_weight.setdefault(weight(xi, seq), []).append(xi)
-                for members in by_weight.values():
-                    for i in range(len(members)):
-                        for j in range(i + 1, len(members)):
-                            verdict = ap_move_strategy(members[i], members[j], seq)
-                            assert verdict is True
-                            bfs = move_trace(members[i], members[j], seq)
-                            assert not isinstance(bfs, NonEquivalent)
+                for members in _weight_classes(seq, m).values():
+                    for xi, eta in itertools.combinations(members, 2):
+                        assert not isinstance(move_trace(xi, eta, seq), NonEquivalent)
 
-    def test_inconclusive_outside_progressions(self):
-        assert ap_move_strategy((2, 0, 1), (0, 3, 0), validate([0, 1, 3])) is None
+
+def _pieces(xi, eta):
+    # The degree of the exchange that turns xi into eta.
+    return sum(max(d - e, 0) for d, e in zip(xi, eta))
 
 
 def pairwise_partition(seq, m, t):
@@ -315,7 +276,7 @@ def pairwise_partition(seq, m, t):
 
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if exchange_degree(members[i], members[j]) <= t:
+                if _pieces(members[i], members[j]) <= t:
                     ri, rj = find(i), find(j)
                     parent[max(ri, rj)] = min(ri, rj)
         groups = {}
@@ -371,7 +332,7 @@ class TestPartitionOracle:
         for xi in monos:
             assert t_neighbors(xi, seq, t) == [
                 eta for eta in monos
-                if eta != xi and weight(eta, seq) == weight(xi, seq) and exchange_degree(xi, eta) <= t]
+                if eta != xi and weight(eta, seq) == weight(xi, seq) and _pieces(xi, eta) <= t]
 
     @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 1, 2, 5),
                                          (0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 7)])

@@ -17,7 +17,7 @@ from spanlab import (
     translate,
     validate,
 )
-from spanlab.span import MAX_SUMSET_BITS
+from spanlab.span import MAX_SUMSET_BITS, MAX_SUMSET_WORK
 
 
 def brute_force_sums(entries, m):
@@ -92,6 +92,16 @@ class TestSpan:
                      lambda: span_sequence(half, 3)):
             with pytest.raises(SumsetTooLarge):
                 call()
+
+    def test_sumset_work_limit(self):
+        # (n+1) * m * (m * a_n) may reach the limit but not pass it: (0, 1)
+        # meets it at m = 100,000, far below the limit on m * a_n.
+        pair, m = validate([0, 1]), 100_000
+        assert 2 * m * m == MAX_SUMSET_WORK
+        assert span(pair, m) == m + 1
+        for call in (span, power_sumset, span_sequence):
+            with pytest.raises(SumsetTooLarge, match="bits of work for the 100001-fold sums exceed"):
+                call(pair, m + 1)
 
     @given(seq_and_m())
     @settings(max_examples=40, deadline=None)

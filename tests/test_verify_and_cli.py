@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -386,6 +387,33 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: about ") and err.endswith(
             f"digits of C({2 * int(argv[1])}, {argv[1]}) exceed the limit of {sys.get_int_max_str_digits()}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "pluecker", "--n", "9" * 4000, "--d", "9" * 4000, "--g", "1"],
+        ["bounds", "pluecker", "--n", "2", "--d", "3", "--g", "0",
+         "--weights", ",".join(["9" * sys.get_int_max_str_digits()] * 2)],
+        ["span", "--seq", "0,1", "--m", "1000000"],
+    ], ids=["pluecker-budget", "pluecker-weights", "span-work"])
+    def test_unprintable_or_slow_answers_fail_fast(self, capsys, argv):
+        # A budget or weight sum Python cannot write, and a sumset whose
+        # shifts would run for about a minute, are typed errors before any output.
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: .* exceed the limit of \d+\n", err)
+
+    def test_largest_printable_pluecker_answers(self, capsys):
+        # The budget 10^limit - 2 and the weight sum 10^limit - 1 have
+        # `limit` digits, the most Python writes: both are printed.
+        limit = sys.get_int_max_str_digits()
+        d = str(5 * 10 ** (limit - 1) - 1)
+        code, out = run_cli(capsys, "bounds", "pluecker", "--n", "1", "--d", d, "--g", "1",
+                            "--weights", f"{10 ** limit - 2},1")
+        assert code == 0
+        assert out == (f"total inflection weight: {10 ** limit - 2}\n"
+                       f"supplied weights sum to {10 ** limit - 1}: MISMATCH\n")
 
     @pytest.mark.parametrize("argv", [
         ["ideal", "dims", "--seq", ",".join(map(str, range(16))), "--m", "20"],
