@@ -62,7 +62,6 @@ from .monomial_ideal import (
     Monomial,
     Move,
     NonEquivalent,
-    apply_move,
     bigraded_dims,
     degree,
     equivalence_report,

@@ -29,14 +29,23 @@ def _log10_binomial(total: int, k: int) -> float:
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _printable(count: int, what: str, *args) -> int:
-    # The count, or CountTooLarge past the digits Python writes (below 3 *
-    # limit bits it has fewer).  The name what.format(*args) is built only
-    # then: the numbers in it can be too long to write as well.
+def _unwritable(x: int) -> bool:
+    # Whether x has more digits than Python writes (below 3 * limit bits it has fewer).
     limit = _max_str_digits()
-    if limit and abs(count).bit_length() > 3 * limit and abs(count) >= 10 ** limit:
-        raise CountTooLarge(over_limit(
-            int(log10(abs(count))) + 1, f"digits of {what.format(*args)}", limit, estimated=True))
+    return bool(limit) and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit
+
+
+def _written(x: int) -> str:
+    # x in a message: about 10^k when Python cannot write it.
+    return f"about 10^{int(log10(abs(x)))}" if _unwritable(x) else str(x)
+
+
+def _printable(count: int, what: str, *args: int) -> int:
+    # The count, or CountTooLarge when it is _unwritable.  The name
+    # what.format(*args) is built only then, each number in it _written.
+    if _unwritable(count):
+        name = f"digits of {what.format(*map(_written, args))}"
+        raise CountTooLarge(over_limit(int(log10(abs(count))) + 1, name, _max_str_digits(), estimated=True))
     return count
 
 
@@ -45,7 +54,8 @@ def _binomial_less(n: int, m: int, less: int) -> int:
     # and a count Stirling puts a digit or more past the limit is refused before comb.
     limit = _max_str_digits()
     if limit and min(m, n) > 1 and (digits := _log10_binomial(m + n, min(m, n))) >= limit + 1:
-        raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({m + n}, {n})", limit, estimated=True))
+        raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({_written(m + n)}, {_written(n)})",
+                                       limit, estimated=True))
     return _printable(comb(m + n, n) - less, "C({}, {})", m + n, n)
 
 

@@ -2,10 +2,9 @@
 
 A jet system is a tuple of n+1 local sections given by rational coefficient
 lists.  Sections are exact polynomials: coefficients beyond the stored ones
-are zero, so a degree-m product has none past t^(m * deg), and every rank,
-filtration profile and propagation check below reads the one exact cut
-m * deg + 1.  Truncated series are not accepted: a term past the stored
-coefficients could change a rank while matching every one of them.
+are zero, and every rank, filtration profile and propagation check below
+reads whole products.  Truncated series are not accepted: a term past the
+stored coefficients could change a rank while matching every one of them.
 
 All dimensions are exact ranks of rational matrices; no floating point.
 """
@@ -77,14 +76,13 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
     return value
 
 
-def _unpack(value: int, k: int, n_coeffs: int) -> dict[int, int]:
-    # The nonzero coefficients below t^n_coeffs of a packed polynomial whose
-    # coefficients all satisfy |c| < 2^(k-1), as {column: c}.  Slots below
-    # the lowest set bit are zero.
+def _unpack(value: int, k: int) -> dict[int, int]:
+    # The nonzero coefficients of a packed polynomial with every |c| < 2^(k-1),
+    # as {column: c}: they lie in the slots from the lowest set bit to the top one.
     row: dict[int, int] = {}
     if value:
         col = ((value & -value).bit_length() - 1) // k
-        _read_slots(value >> (col * k), k, col, n_coeffs, row)
+        _read_slots(value >> (col * k), k, col, value.bit_length() // k + 1, row)
     return row
 
 
@@ -114,14 +112,14 @@ class _PackedRows(Sequence):
     # Packed products, each unpacked to its sparse row when it is read, so
     # a reader that takes one row at a time holds one row besides the
     # packed values.  Integer indices only.
-    def __init__(self, values: list[int], k: int, n_coeffs: int):
-        self._values, self._k, self._n_coeffs = values, k, n_coeffs
+    def __init__(self, values: list[int], k: int):
+        self._values, self._k = values, k
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __getitem__(self, i: int) -> dict[int, int]:
-        return _unpack(self._values[i], self._k, self._n_coeffs)
+        return _unpack(self._values[i], self._k)
 
 
 @dataclass(frozen=True)
@@ -220,9 +218,8 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
     packed = _pack(scaled, k)
     sections = []
     for a in seq:
-        n_coeffs = a * (len(u) - 1) + 1
-        row, scale = _unpack(packed ** a, k, n_coeffs), d ** a
-        sections.append([Fraction(row.get(c, 0), scale) for c in range(n_coeffs)])
+        row, scale = _unpack(packed ** a, k), d ** a
+        sections.append([Fraction(row.get(c, 0), scale) for c in range(max(row) + 1)])
     for j in range(len(sections)):
         for i in range(j + 1, len(sections)):
             gamma = Fraction(rng.randint(-2, 2))
@@ -257,10 +254,9 @@ def adapted_basis(system: JetSystem) -> tuple[VanishingSequence, list[tuple[Frac
     return system.adapted_orders, [tuple(reduced[a]) for a in system._basis]
 
 
-def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
-    """Degree-m products of the adapted basis, cut below t^n_coeffs, as
-    sparse integer rows {column: coefficient} without zero entries, each
-    unpacked when it is read.
+def _product_rows(system: JetSystem, m: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
+    """Whole degree-m products of the adapted basis, as sparse integer rows
+    {column: coefficient} without zero entries, each unpacked when read.
 
     The basis is the echelon rows ``system._basis`` in order of their lead,
     row i leading at a_i, so the product over xi leads at the weight of xi
@@ -272,16 +268,14 @@ def _product_rows(system: JetSystem, m: int, n_coeffs: int) -> tuple[list[tuple[
     rows are Kronecker-packed into one integer each, with slots of k bits
     where 2^(k-1) exceeds B = (largest row L1 norm)^m, which bounds every
     coefficient of a degree-m product; each value is then its parent's
-    times one packed row, a single big-integer multiply.  Coefficients
-    below t^N of a product depend only on the factors' coefficients below
-    t^N, so cutting the basis rows and the unpacked rows at N is exact.
+    times one packed row, a single big-integer multiply.
     """
-    secs = [row[:n_coeffs] for row in system._basis.values()]
-    # Before B is computed: B has about m times the bits of the norm.
-    _check_enumeration(m, len(secs), n_coeffs)
+    secs = list(system._basis.values())
+    # Rows m * deg + 1 wide, before B is computed: B has about m times the bits of the norm.
+    _check_enumeration(m, len(secs), m * system.poly_degree + 1)
     k = (max(sum(map(abs, sec)) for sec in secs) ** m).bit_length() + 1
-    monomials, values = _grow(m, [_pack(sec, k) for sec in secs], mul, 1, n_coeffs)
-    return monomials, _PackedRows(values, k, n_coeffs)
+    monomials, values = _grow(m, [_pack(sec, k) for sec in secs], mul, 1)
+    return monomials, _PackedRows(values, k)
 
 
 def sym_power_dim(system: JetSystem, m: int) -> int:
@@ -320,12 +314,12 @@ def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
     """Per-weight dimensions of the kernel of the degree-m product map,
     taken in the adapted basis, so they depend only on the sections' span.
 
-    One elimination of the degree-m product rows, cut at m * deg + 1 where
-    they end: rows go in by descending weight, so the rows of weight j that
-    depend on those before them count the level-j relations.
+    One elimination of the whole degree-m product rows: rows go in by
+    descending weight, so the rows of weight j that depend on those before
+    them count the level-j relations.
     """
     seq = system.adapted_orders
-    monomials, rows = _product_rows(system, m, m * system.poly_degree + 1)
+    monomials, rows = _product_rows(system, m)
     weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
     ech = _linalg.IncrementalRank()
     dims: dict[int, int] = {}
@@ -368,11 +362,11 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
             dim = sym_power_dim(system, t)
         else:
             # One pass per degree: row i is extended by the unit vector in
-            # column N + i, N = t * deg + 1 where the products end, so the
-            # pivots leading below N give the rank and those leading at or
-            # past N are a basis of the relations, as combinations of the rows.
+            # column N + i, N = t * deg + 1 past where the products end, so
+            # the pivots leading below N give the rank and those leading at
+            # or past N are a basis of the relations, as combinations of the rows.
             n_coeffs = t * system.poly_degree + 1
-            monomials, rows = _product_rows(system, t, n_coeffs)
+            monomials, rows = _product_rows(system, t)
             ech = _linalg.IncrementalRank()
             for i, row in enumerate(rows):
                 row[n_coeffs + i] = 1
@@ -424,11 +418,8 @@ def degree_genus_estimate(system: JetSystem, m_lo: int, m_hi: int) -> tuple[int,
     """
     if m_hi < m_lo + 1 or m_lo < 1:
         raise ValueError(f"need m_hi > m_lo >= 1, got [{m_lo}; {m_hi}]")
-    # The budget of _product_rows grows with the degree: checked at m_hi
-    # before the first rank, not after every degree below it.  Reading the
-    # adapted orders first reports dependent sections, as every rank does.
-    _check_enumeration(m_hi, len(system.adapted_orders), m_hi * system.poly_degree + 1)
-    dims = [sym_power_dim(system, m) for m in range(m_lo, m_hi + 1)]
+    # From m_hi down: the budget grows with the degree, so the first rank checks it.
+    dims = [sym_power_dim(system, m) for m in range(m_hi, m_lo - 1, -1)][::-1]
     d = dims[1] - dims[0]
     intercept = dims[0] - d * m_lo
     for offset, value in enumerate(dims):

@@ -25,15 +25,15 @@ Move = tuple[tuple[int, int], tuple[int, int]]
 
 # Fail-fast limit on the integers the enumeration writes: each of the
 # C(m+n+1, n+1) monomials of degree <= m in n+1 variables is written once, as
-# n+1 exponents and a value of ``width`` entries.  That bounds its time, and
-# its memory, which holds one degree and the next.  The largest enumeration of
-# any suite, demo or benchmark query writes 30,954 entries.
+# n+1 exponents and a value of ``width`` entries (a row of ``jets`` products).
+# That bounds its time, and its memory, which holds one degree and the next.
+# The largest enumeration of any suite, demo or benchmark query writes 30,954 entries.
 MAX_ENUMERATED_ENTRIES = 2_000_000
 
 
 def _check_enumeration(m: int, nvars: int, width: int = 0) -> None:
-    # The budget of _levels, for callers that must check it before they
-    # build the steps.
+    # The budget of _levels, which checks it without a width; callers whose
+    # values are rows check theirs before they build the steps.
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     entries = comb(m + nvars, nvars) * (nvars + width)
@@ -43,7 +43,7 @@ def _check_enumeration(m: int, nvars: int, width: int = 0) -> None:
             MAX_ENUMERATED_ENTRIES))
 
 
-def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> Iterator[list]:
+def _levels(m: int, steps: Sequence, op: Callable = add, start=0) -> Iterator[list]:
     # Degrees 0..m of the monomials in len(steps) variables, one level per
     # degree in ascending lexicographic order, as triples (monomial, last
     # variable raised, value): ``start`` at the monomial 1, op(value,
@@ -52,7 +52,7 @@ def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0
     # Degree d raises each degree-(d-1) monomial at its last raised variable
     # and the later ones, later first: each monomial once, in order.
     nvars = len(steps)
-    _check_enumeration(m, nvars, width)
+    _check_enumeration(m, nvars)
     level = [((0,) * nvars, 0, start)]
     yield level
     for _ in range(m):
@@ -61,9 +61,9 @@ def _levels(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0
         yield level
 
 
-def _grow(m: int, steps: Sequence, op: Callable = add, start=0, width: int = 0) -> tuple[list[Monomial], list]:
+def _grow(m: int, steps: Sequence, op: Callable = add, start=0) -> tuple[list[Monomial], list]:
     # The degree-m level of _levels, as monomials and their values.
-    for level in _levels(m, steps, op, start, width):
+    for level in _levels(m, steps, op, start):
         pass
     return [xi for xi, _, _ in level], [value for _, _, value in level]
 
@@ -316,19 +316,6 @@ def _pair_targets(seq: VanishingSequence) -> list[list[list[tuple[int, int, Move
             targets[i][j] = [(k, l, ((i, j), (k, l))) for k, l in by_sum[seq[i] + seq[j]]
                              if (k, l) != (i, j)]
     return targets
-
-
-def apply_move(xi: Monomial, move: Move) -> Monomial:
-    """Apply one two-piece move (i, j) -> (k, l) to the position."""
-    (i, j), (k, l) = move
-    out = list(xi)
-    out[i] -= 1
-    out[j] -= 1
-    if min(out[i], out[j]) < 0:
-        raise PreconditionViolated(f"no pieces to move from squares {(i, j)} in {xi}")
-    out[k] += 1
-    out[l] += 1
-    return tuple(out)
 
 
 def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:

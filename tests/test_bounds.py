@@ -16,6 +16,8 @@ from spanlab import (
 )
 from math import comb
 
+from spanlab import bounds
+
 
 class TestFormulas:
     def test_max_hypersurfaces(self):
@@ -120,6 +122,20 @@ class TestCountLimit:
         assert not check_weight_budget(1, d, 1, [10 ** limit - 2, 1])
         with pytest.raises(CountTooLarge, match=f"digits of the weight sum exceed the limit of {limit}$"):
             check_weight_budget(1, d, 1, [10 ** limit - 1, 1])
+
+    def test_unwritable_sizes_read_about(self):
+        # m + n of limit + 1 digits is named about 10^limit; n of limit
+        # digits is still written in full.
+        limit = sys.get_int_max_str_digits()
+        nines = 10 ** limit - 1
+        with pytest.raises(CountTooLarge, match=rf"^about {2 * limit} digits of C\(about 10\^{limit}, "
+                                                rf"{nines}\) exceed the limit of {limit}$"):
+            max_hypersurfaces(nines, 2)
+        with pytest.raises(CountTooLarge, match=rf"^about {2 * limit} digits of C\(about 10\^{limit}, 2\) "
+                                                rf"exceed the limit of {limit}$"):
+            next_hypersurface_bound(2, nines)
+        with pytest.raises(CountTooLarge, match=rf"^about {limit + 1} digits of C\(about 10\^{limit}, 2\) "):
+            bounds._printable(10 ** limit, "C({}, {})", 10 ** limit, 2)
 
     def test_one_dimensional_count_is_zero_at_any_degree(self):
         assert max_hypersurfaces(1, 10 ** 5000) == 0

@@ -32,27 +32,25 @@ from spanlab import (
     sym_power_dim,
     validate,
 )
-from spanlab import _linalg, jets
+from spanlab import _linalg, jets, monomial_ideal
 from spanlab.jets import FiltrationProfile, _pack, _product_rows, _unpack
 
 
-def _naive_mul(a, b, cap=None):
-    n = len(a) + len(b) - 1 if a and b else 0
-    out = [0] * (n if cap is None else cap)
+def _naive_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1 if a and b else 0)
     for i in range(len(a)):
         for j in range(len(b)):
-            if i + j < len(out):
-                out[i + j] += a[i] * b[j]
+            out[i + j] += a[i] * b[j]
     return out
 
 
-def _naive_row(secs, xi, n_coeffs):
-    # The product of sec_i^k_i over the monomial xi, multiplied out anew and
-    # cut below t^n_coeffs, with its zero entries dropped.
-    expected = [1] + [0] * (n_coeffs - 1)
+def _naive_row(secs, xi):
+    # The whole product of sec_i^k_i over the monomial xi, multiplied out
+    # anew, with its zero entries dropped.
+    expected = [1]
     for sec, k in zip(secs, xi):
         for _ in range(k):
-            expected = _naive_mul(expected, sec, n_coeffs)
+            expected = _naive_mul(expected, sec)
     return {c: v for c, v in enumerate(expected) if v}
 
 
@@ -83,9 +81,8 @@ def _oracle_rank(system, m):
     # Rank of the dense degree-m product matrix of a polynomial system, its
     # rows multiplied out anew and ranked by sympy.
     secs = _scaled_sections(system)
-    n_coeffs = m * system.poly_degree + 1
-    return _sympy_rank([_naive_row(secs, xi, n_coeffs)
-                        for xi in monomials_of_degree(m, len(secs))], n_coeffs)
+    return _sympy_rank([_naive_row(secs, xi) for xi in monomials_of_degree(m, len(secs))],
+                       m * system.poly_degree + 1)
 
 
 _fractions = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=8)
@@ -196,31 +193,16 @@ _MODEL_SYSTEMS = [
 class TestProductRows:
     @pytest.mark.parametrize("make,entries,seed", _MODEL_SYSTEMS)
     def test_rows_match_naive_products(self, make, entries, seed):
-        # Each row is the truncated product of the adapted basis, b_i^k_i
-        # over its monomial, without zero entries; rows come in
+        # Each row is the whole product of the adapted basis, b_i^k_i over
+        # its monomial, without zero entries; rows come in
         # monomials_of_degree order.
         system = make(validate(entries), seed=seed)
         secs = _adapted_sections(system)
         for m in range(4):
-            for n_coeffs in (m * entries[-1] + 1, m * system.poly_degree + 1):
-                monos, rows = _product_rows(system, m, n_coeffs)
-                assert monos == list(monomials_of_degree(m, len(secs)))
-                for xi, row in zip(monos, rows):
-                    assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
-
-    @given(_jet_systems(), st.integers(0, 4), st.data())
-    def test_packed_rows_match_naive_products(self, system, m, data):
-        # Dependent sections have no adapted basis.
-        try:
-            secs = _adapted_sections(system)
-        except DependentSections:
-            return
-        top = max(map(len, secs))
-        n_coeffs = data.draw(st.integers(1, m * top + 2))
-        monos, rows = _product_rows(system, m, n_coeffs)
-        assert monos == list(monomials_of_degree(m, len(secs)))
-        for xi, row in zip(monos, rows):
-            assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
+            monos, rows = _product_rows(system, m)
+            assert monos == list(monomials_of_degree(m, len(secs)))
+            for xi, row in zip(monos, rows):
+                assert row == _naive_row(secs, xi), xi
 
     def test_row_width_counts_against_the_enumeration_budget(self):
         # (1, t^200) has only 201 monomials of degree 200, but their rows
@@ -232,25 +214,27 @@ class TestProductRows:
     @given(st.integers(2, 40), st.data())
     def test_pack_round_trip_across_the_halving(self, k, data):
         # Values of more than 64 slots are packed and read in halves, so a
-        # borrow must cross each cut; digits reach both ends of |c| < 2^(k-1).
+        # borrow must cross each half; digits reach both ends of |c| < 2^(k-1),
+        # and the value is read whole, up to its top slot.
         top = 2 ** (k - 1) - 1
         digits = st.sampled_from([0, top, -top, -1, 1]) | st.integers(-top, top)
         coeffs = data.draw(st.lists(digits, min_size=65, max_size=300))
-        n_coeffs = data.draw(st.integers(1, len(coeffs) + 2))
-        expected = {i: c for i, c in enumerate(coeffs[:n_coeffs]) if c}
-        assert _unpack(_pack(coeffs, k), k, n_coeffs) == expected
+        expected = {i: c for i, c in enumerate(coeffs) if c}
+        assert _unpack(_pack(coeffs, k), k) == expected
 
     def test_rows_longer_than_one_shift_loop(self):
+        # Degree-89 sections: the products at m = 1, 2, 3 have 90, 179 and
+        # 268 slots, read in halves past 64.
         rng = random.Random(5)
         secs = ((1,) + tuple(rng.randint(-9, 9) for _ in range(89)),
                 (0, 1) + tuple(rng.randint(-9, 9) for _ in range(88)))
         system = JetSystem(secs)
         secs = _adapted_sections(system)
         for m in (1, 2, 3):
-            for n_coeffs in (64, 65, 129, 130, m * 89 + 1):
-                monos, rows = _product_rows(system, m, n_coeffs)
-                for xi, row in zip(monos, rows):
-                    assert row == _naive_row(secs, xi, n_coeffs), (xi, n_coeffs)
+            monos, rows = _product_rows(system, m)
+            assert max(max(row) for row in rows) == m * 89
+            for xi, row in zip(monos, rows):
+                assert row == _naive_row(secs, xi), xi
 
 
 def _order(coeffs):
@@ -417,32 +401,34 @@ class TestSymPowerDim:
 
 
 class TestExactCut:
-    # Sections are exact polynomials, so the degree-m products end at
-    # t^(m * deg) and every reader cuts them once, at m * deg + 1.
-    def test_every_reader_cuts_at_m_deg_plus_one(self, monkeypatch):
+    # Sections are exact polynomials, so every reader builds the whole
+    # degree-m products, which end at t^(m * deg), once per degree.
+    def test_every_reader_builds_each_degree_once(self, monkeypatch):
         system = monomial_system(validate([0, 1, 2, 3]))
         calls = _count_product_rows(monkeypatch)
         assert sym_power_dim(system, 2) == 7
-        assert calls == [(2, 7)]
+        assert calls == [2]
         calls.clear()
         assert filtration_profile(system, 3).kernel_dim == 10
-        assert calls == [(3, 10)]
+        assert calls == [3]
         calls.clear()
         check_ideal_propagation(system, 2, 4)
-        assert calls == [(2, 7), (3, 10), (4, 13)]
+        assert calls == [2, 3, 4]
 
-    @given(_jet_systems(), st.integers(1, 4), st.integers(1, 6))
-    def test_rows_end_at_the_cut(self, system, m, extra):
-        # A wider cut adds no entry: no product has a coefficient past m * deg.
+    @given(_jet_systems(), st.integers(0, 4))
+    def test_rows_end_at_m_deg(self, system, m):
+        # Each row is the naive whole product of the adapted basis, in
+        # monomials_of_degree order, with no column past m * deg.
+        # Dependent sections have no adapted basis.
         try:
-            system.adapted_orders
+            secs = _adapted_sections(system)
         except DependentSections:
             return
-        cut = m * system.poly_degree + 1
-        monos, rows = _product_rows(system, m, cut)
-        wide_monos, wide_rows = _product_rows(system, m, cut + extra)
-        assert wide_monos == monos
-        assert list(wide_rows) == list(rows)
+        monos, rows = _product_rows(system, m)
+        assert monos == list(monomials_of_degree(m, len(secs)))
+        for xi, row in zip(monos, rows):
+            assert row == _naive_row(secs, xi), xi
+            assert all(c <= m * system.poly_degree for c in row), xi
 
     def test_far_term_in_every_reader(self):
         # x_0 x_2 - x_1^2 = t^10 on (1, t, t^2 + t^10): no relation in
@@ -473,22 +459,22 @@ class TestExactCut:
 
 
 def _count_product_rows(monkeypatch):
-    # The (degree, cut) of each _product_rows call made through jets.
+    # The degree of each _product_rows call made through jets.
     calls = []
 
-    def counting(system, m, n_coeffs):
-        calls.append((m, n_coeffs))
-        return _product_rows(system, m, n_coeffs)
+    def counting(system, m):
+        calls.append(m)
+        return _product_rows(system, m)
 
     monkeypatch.setattr(jets, "_product_rows", counting)
     return calls
 
 
-def _two_pass_profile(system, m, n_coeffs):
-    # The profile of the rows cut at n_coeffs, eliminated on their own: by
-    # descending weight, each row that leaves the rank unchanged is a relation.
+def _two_pass_profile(system, m):
+    # The profile of the product rows, eliminated on their own: by descending
+    # weight, each row that leaves the rank unchanged is a relation.
     seq = system.adapted_orders
-    monos, rows = _product_rows(system, m, n_coeffs)
+    monos, rows = _product_rows(system, m)
     weights = [sum(a * k for a, k in zip(seq, xi)) for xi in monos]
     ech = _linalg.IncrementalRank()
     dims = {}
@@ -501,16 +487,16 @@ def _two_pass_profile(system, m, n_coeffs):
 
 
 class TestCutReading:
-    # filtration_profile eliminates the rows once, cut at m * deg + 1, and
-    # reads each row's dependence from what add returns; a pass that
-    # compares ranks must agree with it, dims in the same order.
+    # filtration_profile eliminates the whole rows once and reads each row's
+    # dependence from what add returns; a pass that compares ranks must
+    # agree with it, dims in the same order.
     @given(_jet_systems(), st.integers(0, 4))
     def test_polynomial_draws(self, system, m):
         try:
             system.adapted_orders
         except DependentSections:
             return
-        expected = _two_pass_profile(system, m, m * system.poly_degree + 1)
+        expected = _two_pass_profile(system, m)
         got = filtration_profile(system, m)
         assert got == expected
         assert list(got.dims.items()) == list(expected.dims.items())
@@ -521,20 +507,19 @@ class TestCutReading:
         ((0, 0, 1), 1),
     ], ids=["t10", "t9", "model"])
     def test_far_top_term(self, top, kernel_dim):
-        # The exact cut agrees with a pass over a wider one.
+        # A top term far past the others counts in both passes.
         system = JetSystem(((1,), (0, 1), top))
         got = filtration_profile(system, 2)
         assert got.kernel_dim == kernel_dim
-        for cut in (2 * system.poly_degree + 1, 2 * system.poly_degree + 4):
-            expected = _two_pass_profile(system, 2, cut)
-            assert got == expected
-            assert list(got.dims.items()) == list(expected.dims.items())
+        expected = _two_pass_profile(system, 2)
+        assert got == expected
+        assert list(got.dims.items()) == list(expected.dims.items())
 
     def test_rows_built_once(self, monkeypatch):
         system = JetSystem(((1,), (0, 1), (0, 0, 1)))
         calls = _count_product_rows(monkeypatch)
         assert filtration_profile(system, 2).kernel_dim == 1
-        assert calls == [(2, 5)]
+        assert calls == [2]
 
 
 class TestFiltration:
@@ -605,7 +590,7 @@ class TestFiltration:
             profile = filtration_profile(system, m)
             seq, _ = adapted_basis(system)
             n_coeffs = m * system.poly_degree + 1
-            monos, rows = _product_rows(system, m, n_coeffs)
+            monos, rows = _product_rows(system, m)
             weights = sorted({weight(xi, seq) for xi in monos})
 
             def nullity_at_least(j):
@@ -628,7 +613,7 @@ class TestPropagation:
         # One pass per degree gives both the rank and the relations.
         calls = _count_product_rows(monkeypatch)
         check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5)
-        assert [m for m, _ in calls] == [2, 3, 4, 5]
+        assert calls == [2, 3, 4, 5]
 
     def test_jump_model(self):
         report = check_ideal_propagation(monomial_system(near_ap_high(3, 1)), 2, 5)
@@ -663,8 +648,23 @@ class TestDegreeGenusEstimate:
         assert degree_genus_estimate(system, 2, 4) == (4, 1)
 
     def test_not_linear(self):
-        with pytest.raises(NotLinearOnRange):
-            degree_genus_estimate(monomial_system(validate([0, 3, 5])), 1, 3)
+        # The dimensions are listed by ascending degree.
+        seq = validate([0, 3, 5])
+        dims = [span(seq, m) for m in (1, 2, 3)]
+        with pytest.raises(NotLinearOnRange, match=rf"^dimensions \[{', '.join(map(str, dims))}\] on \[1; 3\]"):
+            degree_genus_estimate(monomial_system(seq), 1, 3)
+
+    def test_budget_checked_at_the_top_degree_first(self, monkeypatch):
+        # The budget grows with the degree: an m_hi past it is refused, with
+        # the message of that degree's rows, before any lower degree is built.
+        system = monomial_system(validate(range(7)))
+        calls = _count_product_rows(monkeypatch)
+        with pytest.raises(EnumerationTooLarge) as exc:
+            degree_genus_estimate(system, 1, 40)
+        assert [m for m in calls if m < 40] == []
+        with pytest.raises(EnumerationTooLarge) as direct:
+            monomial_ideal._check_enumeration(40, 7, 40 * 6 + 1)
+        assert str(exc.value) == str(direct.value)
 
     def test_rejects_short_range(self):
         with pytest.raises(ValueError):

@@ -42,8 +42,8 @@ def rank(m):
 
 def propagation_relations(system, m, t_max):
     # For each degree t in [m, t_max) that check_ideal_propagation reached,
-    # the dense product rows cut at N = t * deg + 1, where they end, and
-    # the relations its pass read: the pivots of the echelon that absorbed
+    # the product rows made dense to N = t * deg + 1 columns, where they end,
+    # and the relations its pass read: the pivots of the echelon that absorbed
     # those rows, row i extended by the unit vector in column N + i, whose
     # leading column is >= N, shifted down by N.
     echelons = []
@@ -68,7 +68,7 @@ def propagation_relations(system, m, t_max):
     found = {}
     for t in range(m, t_max):
         n_coeffs = t * system.poly_degree + 1
-        rows = list(_product_rows(system, t, n_coeffs)[1])
+        rows = list(_product_rows(system, t)[1])
         extended = [{**row, n_coeffs + i: 1} for i, row in enumerate(rows)]
         passes = [ech for ech in echelons if ech.rows == extended]
         if not passes:

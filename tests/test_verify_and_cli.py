@@ -393,10 +393,13 @@ class TestCli:
         ["bounds", "pluecker", "--n", "2", "--d", "3", "--g", "0",
          "--weights", ",".join(["9" * sys.get_int_max_str_digits()] * 2)],
         ["span", "--seq", "0,1", "--m", "1000000"],
-    ], ids=["pluecker-budget", "pluecker-weights", "span-work"])
+        ["bounds", "hypersurfaces", "--n", "9" * sys.get_int_max_str_digits(), "--m", "2"],
+        ["bounds", "hypersurfaces", "--n", "2", "--m", "9" * sys.get_int_max_str_digits()],
+    ], ids=["pluecker-budget", "pluecker-weights", "span-work", "hypersurfaces-n", "hypersurfaces-m"])
     def test_unprintable_or_slow_answers_fail_fast(self, capsys, argv):
-        # A budget or weight sum Python cannot write, and a sumset whose
-        # shifts would run for about a minute, are typed errors before any output.
+        # A budget, weight sum or count Python cannot write (for the counts,
+        # m + n is too long to write as well), and a sumset whose shifts
+        # would run for about a minute, are typed errors before any output.
         start = time.perf_counter()
         code = main(argv)
         assert time.perf_counter() - start < 1.0
