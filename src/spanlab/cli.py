@@ -36,7 +36,7 @@ from .monomial_ideal import (
 )
 from .semigroup import curve_invariants, hilbert_polynomial, semigroup_of, stabilization_threshold
 from .sequences import from_text
-from .span import classify, power_sumset, span
+from .span import _difference_verdict, power_sumset, span
 from .verify import SUITE_IDS, SweepConfig, run_all, run_suite
 
 
@@ -99,18 +99,18 @@ def _load_sections(path: str) -> JetSystem:
 def _cmd_span(args):
     seq = from_text(args.seq)
     table = power_sumset(seq, args.m)
-    cls = classify(seq, args.m)
+    verdict, step = _difference_verdict(seq)
     result = {
         "seq": list(seq.entries),
         "m": args.m,
-        "span": cls.span,
-        "verdict": cls.verdict.value,
-        "step": cls.step,
+        "span": table.span,
+        "verdict": verdict.value,
+        "step": step,
         "values": list(table.values),
     }
-    lines = [f"span of {seq.to_text()} at m={args.m}: {cls.span}"]
+    lines = [f"span of {seq.to_text()} at m={args.m}: {table.span}"]
     if args.classify:
-        lines.append(f"verdict: {cls.verdict.value}" + (f" (step {cls.step})" if cls.step else ""))
+        lines.append(f"verdict: {verdict.value}" + (f" (step {step})" if step else ""))
     lines.append(f"values: {' '.join(str(v) for v in table.values)}")
     return {"seq": args.seq, "m": args.m}, result, lines
 
@@ -190,11 +190,8 @@ def _cmd_ideal_dims(args):
 
 
 def _cmd_ideal_gendeg(args):
-    if args.t > args.mcap:
-        args.parser.error(f"argument --t: expected an integer >= 2 and at most --mcap ({args.mcap}), "
-                          f"got {args.t}")
     seq = from_text(args.seq)
-    scan = generation_scan(seq, args.mcap, args.t)
+    scan = generation_scan(seq, args.mcap)
     result = {
         "seq": list(seq.entries),
         "m_cap": args.mcap,
@@ -202,7 +199,7 @@ def _cmd_ideal_gendeg(args):
         "quadric_generated_by_degree": {str(m): flag for m, flag in scan.quadric.items()},
     }
     lines = [f"generated in degrees <= {scan.degree} (scanned to {args.mcap})"]
-    return {"seq": args.seq, "mcap": args.mcap, "t": args.t}, result, lines
+    return {"seq": args.seq, "mcap": args.mcap}, result, lines
 
 
 def _cmd_game_trace(args):
@@ -317,7 +314,6 @@ def _cmd_verify(args):
         max_entry=args.max_entry,
         random_trials=args.trials,
         seed=args.seed,
-        m_cap=args.mcap,
         falsify_oracle=args.falsify_oracle,
     )
     if args.suite == "all":
@@ -382,7 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(ideal, "gendeg", _cmd_ideal_gendeg, "smallest generating degree observed up to a cap")
     p.add_argument("--seq", type=_int_list, required=True)
     p.add_argument("--mcap", type=_int_at_least(2), default=8)
-    p.add_argument("--t", type=_int_at_least(2), default=2, help="starting neighbor order")
 
     game = group("game", "the piece-moving game")
     p = command(game, "trace", _cmd_game_trace, "shortest move sequence between two positions")
@@ -419,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=None)
     p.add_argument("--max-entry", type=_int_at_least(1), default=None)
-    p.add_argument("--mcap", type=_int_at_least(2), default=None)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--falsify-oracle", action="store_true",
                    help="self-test: corrupt one expected value per suite")

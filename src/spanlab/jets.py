@@ -377,7 +377,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
         if t == m:
             if dim != span(seq, m):
                 raise HypothesisFailed(f"system is not {m}-maximal")
-            for d in generation_scan(seq, t_max, m).generator_degrees:
+            for d in generation_scan(seq, t_max).generator_degrees:
                 if d > m:
                     raise HypothesisFailed(
                         f"degree-{d} relations of {seq.entries} are not generated in degree {m}")

@@ -254,24 +254,23 @@ class GenerationScan:
     """
 
     m_cap: int
-    t_start: int
     generator_degrees: tuple[int, ...]
     quadric: dict[int, bool]
 
     @property
     def degree(self) -> int:
-        """Smallest g >= t_start with every degree in (g; m_cap] generated by
+        """Smallest g >= 2 with every degree in (g; m_cap] generated by
         degree-g steps: no minimal generator sits in (g; m_cap]."""
-        return max((self.t_start, *self.generator_degrees))
+        return max((2, *self.generator_degrees))
 
 
-def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> GenerationScan:
+def generation_scan(seq: VanishingSequence, m_cap: int) -> GenerationScan:
     """Minimal-generator degrees and quadric flags of each degree in
     [3; m_cap], from one lift per level of one enumeration, and a second
     where degree m-1 splits into more than one two-step component.
     """
-    if not (m_cap >= t_start >= 2):
-        raise ValueError(f"need m_cap >= t_start >= 2, got m_cap={m_cap}, t_start={t_start}")
+    if m_cap < 2:
+        raise ValueError(f"m_cap must be >= 2, got {m_cap}")
     generator_degrees = []
     quadric = {}
     below = None  # the two-step blocks of degree m-1; None when every class is one
@@ -283,14 +282,14 @@ def generation_scan(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> Gen
             generator_degrees.append(m)
         below = joined if below is None else _lift(level, below)
         quadric[m] = below is None
-    return GenerationScan(m_cap, t_start, tuple(generator_degrees), quadric)
+    return GenerationScan(m_cap, tuple(generator_degrees), quadric)
 
 
-def generation_degree(seq: VanishingSequence, m_cap: int, t_start: int = 2) -> int:
-    """Smallest g >= t_start with every degree in (g; m_cap] generated by
+def generation_degree(seq: VanishingSequence, m_cap: int) -> int:
+    """Smallest g >= 2 with every degree in (g; m_cap] generated by
     degree-g steps; g = m_cap always qualifies.  Degrees beyond m_cap are
     never extrapolated."""
-    return generation_scan(seq, m_cap, t_start).degree
+    return generation_scan(seq, m_cap).degree
 
 
 @dataclass(frozen=True)

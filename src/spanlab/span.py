@@ -62,7 +62,7 @@ def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:
     entries = seq.entries
     top = m * entries[-1]
     if top > MAX_SUMSET_BITS:
-        raise SumsetTooLarge(f"{m}-fold sums up to {top} exceed the limit of {MAX_SUMSET_BITS}")
+        raise SumsetTooLarge(over_limit(top, f"bits for the {m}-fold sums", MAX_SUMSET_BITS))
     if (work := len(entries) * m * top) > MAX_SUMSET_WORK:
         raise SumsetTooLarge(over_limit(work, f"bits of work for the {m}-fold sums", MAX_SUMSET_WORK))
     mask = 0

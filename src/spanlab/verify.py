@@ -52,7 +52,6 @@ class SweepConfig:
     max_entry: Optional[int] = None
     random_trials: Optional[int] = None
     seed: int = 0
-    m_cap: Optional[int] = None
     falsify_oracle: bool = False
 
 
@@ -206,7 +205,7 @@ def _suite_hilbert_stabilization(cfg: SweepConfig, ck: _Checks) -> None:
     # threshold is always observed within the scanned range.
     for seq in normalized_sequences(1, 5, cfg.max_entry or 10):
         lead, const = hilbert_polynomial(seq)
-        m_cap = cfg.m_cap or 4 * lead
+        m_cap = 4 * lead
         spans = span_sequence(seq, m_cap)
         threshold = stabilization_threshold(seq, m_cap)
         ck.case(seq=list(seq.entries), m_cap=m_cap)

@@ -302,8 +302,8 @@ def brute_generated(seq, m, t):
     return all(len(comps) == 1 for _, comps in pairwise_partition(seq, m, t))
 
 
-def brute_generation_degree(seq, m_cap, t_start):
-    for g in range(t_start, m_cap + 1):
+def brute_generation_degree(seq, m_cap):
+    for g in range(2, m_cap + 1):
         if all(brute_generated(seq, m, g) for m in range(g + 1, m_cap + 1)):
             return g
     return None
@@ -348,13 +348,12 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 1, 2, 5),
                                          (0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 7)])
-    @pytest.mark.parametrize("t_start", [2, 3])
-    def test_generation_degree_and_table_match_brute_force(self, entries, t_start):
+    def test_generation_degree_and_table_match_brute_force(self, entries):
         seq = validate(entries)
         m_cap = 6
-        scan = generation_scan(seq, m_cap, t_start)
-        expected = brute_generation_degree(seq, m_cap, t_start)
-        assert generation_degree(seq, m_cap, t_start) == expected
+        scan = generation_scan(seq, m_cap)
+        expected = brute_generation_degree(seq, m_cap)
+        assert generation_degree(seq, m_cap) == expected
         assert scan.degree == expected
         degrees = range(3, m_cap + 1)
         assert scan.quadric == {m: brute_generated(seq, m, 2) for m in degrees}

@@ -287,16 +287,10 @@ class TestCli:
         assert "expected a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "--suite", "prop49_410", "--mcap", "0"),
-        ("verify", "--suite", "prop49_410", "--mcap", "two"),
-        ("verify", "--suite", "prop49_410", "--mcap", "1"),
         ("hilbert", "--seq", "0,1,3", "--mcap", "1"),
         ("hilbert", "--seq", "0,1,3", "--mcap", "0"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "0"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "1"),
-        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "0"),
-        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "1"),
-        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3", "--mcap", "2"),
         ("bounds", "hypersurfaces", "--n", "3", "--m", "1"),
         ("jets", "estimate", "--sections-file", "absent.json", "--mlo", "1", "--mhi", "1"),
     ])
@@ -305,6 +299,19 @@ class TestCli:
             main(list(argv))
         assert exc.value.code == 2
         assert "expected an integer >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3", "--mcap", "2"),
+        ("verify", "--suite", "prop49_410", "--mcap", "8"),
+    ])
+    def test_retired_options_are_usage_errors(self, capsys, argv):
+        # The generation floor is 2 and the Hilbert line scan stops at
+        # 4 * degree; neither is an option.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,wanted", [
         (("span", "--seq", "0,1,3", "--m", "0"), "expected a positive integer"),
@@ -356,6 +363,34 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "exceed the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["span", "--seq", "0,1,3", "--m", "9" * sys.get_int_max_str_digits()],
+        ["hilbert", "--seq", "0,1,3", "--mcap", "9" * sys.get_int_max_str_digits()],
+    ], ids=["span", "hilbert"])
+    def test_sumset_past_every_printable_top_fails_fast(self, capsys, argv):
+        # 3 * m has one digit more than Python writes as text: the count
+        # reads about 10^k, and the error is typed.
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: about 10\^\d+ bits for the 9+-fold sums exceed the limit of 1000000\n", err)
+
+    def test_span_builds_its_sumset_once(self, capsys, monkeypatch):
+        # spanlab.span is the function; the module is reached by its path.
+        module = sys.modules["spanlab.span"]
+        calls = []
+        masks = module._sumset_masks
+
+        def counting(seq, m):
+            calls.append(m)
+            return masks(seq, m)
+        monkeypatch.setattr(module, "_sumset_masks", counting)
+        code, out = run_cli(capsys, "span", "--seq", "0,1,2,4", "--m", "3", "--classify")
+        assert code == 0 and "NEAR_AP_HIGH" in out
+        assert calls == [3]
 
     def test_long_sumset_values_read_in_one_pass(self, capsys):
         # 10-fold sums up to 1,000,000: at the limit, and still fast.
