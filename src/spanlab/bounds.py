@@ -8,11 +8,10 @@ a binomial before it is computed.  The companion rank computations live in
 
 from __future__ import annotations
 
-import sys
 from math import comb, log, log10, log1p, pi
 from typing import Sequence
 
-from .errors import CountTooLarge, over_limit
+from .errors import CountTooLarge, max_str_digits, over_limit, unwritable, written
 
 
 def _log10_binomial(total: int, k: int) -> float:
@@ -25,36 +24,21 @@ def _log10_binomial(total: int, k: int) -> float:
     return nats / log(10)
 
 
-# The most decimal digits Python writes an integer with; 0: no limit.
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _unwritable(x: int) -> bool:
-    # Whether x has more digits than Python writes (below 3 * limit bits it has fewer).
-    limit = _max_str_digits()
-    return bool(limit) and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit
-
-
-def _written(x: int) -> str:
-    # x in a message: about 10^k when Python cannot write it.
-    return f"about 10^{int(log10(abs(x)))}" if _unwritable(x) else str(x)
-
-
 def _printable(count: int, what: str, *args: int) -> int:
-    # The count, or CountTooLarge when it is _unwritable.  The name
-    # what.format(*args) is built only then, each number in it _written.
-    if _unwritable(count):
-        name = f"digits of {what.format(*map(_written, args))}"
-        raise CountTooLarge(over_limit(int(log10(abs(count))) + 1, name, _max_str_digits(), estimated=True))
+    # The count, or CountTooLarge when it is unwritable.  The name
+    # what.format(*args) is built only then, each number in it written.
+    if unwritable(count):
+        name = f"digits of {what.format(*map(written, args))}"
+        raise CountTooLarge(over_limit(int(log10(abs(count))) + 1, name, max_str_digits(), estimated=True))
     return count
 
 
 def _binomial_less(n: int, m: int, less: int) -> int:
     # C(m+n, n) - less through _printable; with m, n >= 2, less < C(m+n, n) / 2,
     # and a count Stirling puts a digit or more past the limit is refused before comb.
-    limit = _max_str_digits()
+    limit = max_str_digits()
     if limit and min(m, n) > 1 and (digits := _log10_binomial(m + n, min(m, n))) >= limit + 1:
-        raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({_written(m + n)}, {_written(n)})",
+        raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({written(m + n)}, {written(n)})",
                                        limit, estimated=True))
     return _printable(comb(m + n, n) - less, "C({}, {})", m + n, n)
 

@@ -1,6 +1,22 @@
 """Exception types shared across the library, and the text of budget errors."""
 
+import sys
 from math import log10
+
+# The most decimal digits Python writes an integer with; 0: no limit.
+max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def unwritable(x: int) -> bool:
+    """Whether x has more digits than Python writes as text."""
+    # Below 3 * limit bits it has fewer.
+    limit = max_str_digits()
+    return bool(limit) and abs(x).bit_length() > 3 * limit and abs(x) >= 10 ** limit
+
+
+def written(x: int) -> str:
+    """x in a message: ``about 10^k`` when Python cannot write it."""
+    return f"about 10^{int(log10(abs(x)))}" if unwritable(x) else str(x)
 
 
 def over_limit(count: int, what: str, limit: int, estimated: bool = False) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import SumsetTooLarge, over_limit
+from .errors import SumsetTooLarge, over_limit, written
 from .sequences import VanishingSequence
 
 # Fail-fast limits on the m-fold sumset bitmask: its top bit m * a_n, and the
@@ -62,9 +62,9 @@ def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:
     entries = seq.entries
     top = m * entries[-1]
     if top > MAX_SUMSET_BITS:
-        raise SumsetTooLarge(over_limit(top, f"bits for the {m}-fold sums", MAX_SUMSET_BITS))
+        raise SumsetTooLarge(over_limit(top, f"bits for the {written(m)}-fold sums", MAX_SUMSET_BITS))
     if (work := len(entries) * m * top) > MAX_SUMSET_WORK:
-        raise SumsetTooLarge(over_limit(work, f"bits of work for the {m}-fold sums", MAX_SUMSET_WORK))
+        raise SumsetTooLarge(over_limit(work, f"bits of work for the {written(m)}-fold sums", MAX_SUMSET_WORK))
     mask = 0
     for a in entries:
         mask |= 1 << a

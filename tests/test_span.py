@@ -103,6 +103,21 @@ class TestSpan:
             with pytest.raises(SumsetTooLarge, match="bits of work for the 100001-fold sums exceed"):
                 call(pair, m + 1)
 
+    @pytest.mark.parametrize("call", [span, power_sumset, span_sequence])
+    def test_sumset_bits_message(self, call):
+        # 3 * 333,334 = 1,000,002: the top bit and m in full.
+        with pytest.raises(SumsetTooLarge) as exc:
+            call(validate([0, 1, 3]), 333_334)
+        assert str(exc.value) == "1000002 bits for the 333334-fold sums exceed the limit of 1000000"
+
+    @pytest.mark.parametrize("call", [span, power_sumset, span_sequence])
+    def test_sumset_past_every_writable_m(self, call):
+        # m has more digits than Python writes as text: it reads about
+        # 10^k too, and the error stays typed.
+        with pytest.raises(SumsetTooLarge) as exc:
+            call(validate([0, 1, 3]), 10 ** 4400)
+        assert str(exc.value) == "about 10^4400 bits for the about 10^4400-fold sums exceed the limit of 1000000"
+
     @given(seq_and_m())
     @settings(max_examples=40, deadline=None)
     def test_invariance(self, data):

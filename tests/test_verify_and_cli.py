@@ -301,8 +301,13 @@ class TestCli:
         assert "expected an integer >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "0"),
+        ("ideal", "gendeg", "--seq", "0,1,3", "--t", "1"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3"),
         ("ideal", "gendeg", "--seq", "0,1,3", "--t", "3", "--mcap", "2"),
+        ("verify", "--suite", "prop49_410", "--mcap", "0"),
+        ("verify", "--suite", "prop49_410", "--mcap", "two"),
+        ("verify", "--suite", "prop49_410", "--mcap", "1"),
         ("verify", "--suite", "prop49_410", "--mcap", "8"),
     ])
     def test_retired_options_are_usage_errors(self, capsys, argv):
