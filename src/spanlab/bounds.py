@@ -8,10 +8,10 @@ a binomial before it is computed.  The companion rank computations live in
 
 from __future__ import annotations
 
-from math import comb, log, log10, log1p, pi
+from math import comb, log, log1p, pi
 from typing import Sequence
 
-from .errors import CountTooLarge, max_str_digits, over_limit, unwritable, written
+from .errors import CountTooLarge, PreconditionViolated, max_str_digits, over_limit, printable, written
 
 
 def _log10_binomial(total: int, k: int) -> float:
@@ -24,23 +24,14 @@ def _log10_binomial(total: int, k: int) -> float:
     return nats / log(10)
 
 
-def _printable(count: int, what: str, *args: int) -> int:
-    # The count, or CountTooLarge when it is unwritable.  The name
-    # what.format(*args) is built only then, each number in it written.
-    if unwritable(count):
-        name = f"digits of {what.format(*map(written, args))}"
-        raise CountTooLarge(over_limit(int(log10(abs(count))) + 1, name, max_str_digits(), estimated=True))
-    return count
-
-
 def _binomial_less(n: int, m: int, less: int) -> int:
-    # C(m+n, n) - less through _printable; with m, n >= 2, less < C(m+n, n) / 2,
+    # C(m+n, n) - less through printable; with m, n >= 2, less < C(m+n, n) / 2,
     # and a count Stirling puts a digit or more past the limit is refused before comb.
     limit = max_str_digits()
     if limit and min(m, n) > 1 and (digits := _log10_binomial(m + n, min(m, n))) >= limit + 1:
         raise CountTooLarge(over_limit(int(digits) + 1, f"digits of C({written(m + n)}, {written(n)})",
                                        limit, estimated=True))
-    return _printable(comb(m + n, n) - less, "C({}, {})", m + n, n)
+    return printable(comb(m + n, n) - less, "C({}, {})", m + n, n)
 
 
 def max_hypersurfaces(n: int, m: int) -> int:
@@ -74,11 +65,11 @@ def pluecker_budget(n: int, d: int, g: int) -> int:
     (n+1)*d + n*(n+1)*(g-1)."""
     if n < 1 or d < 1 or g < 0:
         raise ValueError(f"need n >= 1, d >= 1, g >= 0, got n={n}, d={d}, g={g}")
-    return _printable((n + 1) * d + n * (n + 1) * (g - 1), "the total inflection weight")
+    return printable((n + 1) * d + n * (n + 1) * (g - 1), "the total inflection weight")
 
 
 def check_weight_budget(n: int, d: int, g: int, weights: Sequence[int]) -> bool:
     """Whether the given point weights exhaust the total inflection budget."""
     if any(w < 1 for w in weights):
-        raise ValueError("point weights must be >= 1")
-    return _printable(sum(weights), "the weight sum") == pluecker_budget(n, d, g)
+        raise PreconditionViolated("point weights must be >= 1")
+    return printable(sum(weights), "the weight sum") == pluecker_budget(n, d, g)

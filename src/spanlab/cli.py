@@ -21,7 +21,7 @@ from .bounds import (
     pluecker_budget,
     quadric_bound,
 )
-from .errors import SpanlabError
+from .errors import PreconditionViolated, SpanlabError, printable
 from .jets import (
     JetSystem,
     degree_genus_estimate,
@@ -76,24 +76,24 @@ def _load_sections(path: str) -> JetSystem:
     # Non-integer numbers are kept as the text written, so 0.0000001 is read
     # exactly and 1e-7 meets the same exponent check as the string "1e-7".
     # Any other value (true, null, NaN, an array) is named as the file
-    # writes it; bool is an int subclass, so it is named first.  Text that
-    # is not UTF-8 or not JSON raises a ValueError, named with the path too.
+    # writes it; bool is an int subclass, so it is named first.  Non-UTF-8
+    # text, bad JSON and refused coefficients are named with the path too.
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=str)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise PreconditionViolated(f"{path}: {exc}") from None
     if not isinstance(raw, list) or not all(isinstance(sec, list) for sec in raw):
-        raise ValueError(f"{path}: expected a JSON array of coefficient arrays")
+        raise PreconditionViolated(f"{path}: expected a JSON array of coefficient arrays")
     for sec in raw:
         for value in sec:
             if isinstance(value, bool) or not isinstance(value, (int, str)):
-                raise ValueError(f"{path}: invalid coefficient {json.dumps(value)}: "
-                                 "write an integer, a decimal or p/q")
+                raise PreconditionViolated(f"{path}: invalid coefficient {json.dumps(value)}: "
+                                           "write an integer, a decimal or p/q")
     try:
         return JetSystem(tuple(map(tuple, raw)))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise PreconditionViolated(f"{path}: {exc}") from None
 
 
 def _cmd_span(args):
@@ -172,6 +172,8 @@ def _cmd_hilbert(args):
 
 def _cmd_ideal_dims(args):
     seq = from_text(args.seq)
+    # Every weight is written out as text, and none exceeds m * a_n.
+    printable(args.m * seq[-1], "the largest weight")
     dims = bigraded_dims(seq, args.m)
     result = {
         "seq": list(seq.entries),
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         outcome = args.handler(args)
-    except (SpanlabError, ValueError, OSError) as exc:
+    except (SpanlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # (inputs, result, lines), and from verify whether a suite failed.

@@ -19,6 +19,15 @@ def written(x: int) -> str:
     return f"about 10^{int(log10(abs(x)))}" if unwritable(x) else str(x)
 
 
+def printable(count: int, what: str, *args: int) -> int:
+    """The count, or ``CountTooLarge`` when it is unwritable.  The name
+    what.format(*args) is built only then, each number in it written."""
+    if unwritable(count):
+        name = f"digits of {what.format(*map(written, args))}"
+        raise CountTooLarge(over_limit(int(log10(abs(count))) + 1, name, max_str_digits(), estimated=True))
+    return count
+
+
 def over_limit(count: int, what: str, limit: int, estimated: bool = False) -> str:
     """The message of every budget error: ``<count> <what> exceed the limit
     of <limit>``.  A count of more than 12 digits reads ``about 10^k``, and
@@ -82,7 +91,7 @@ class LengthMismatch(SpanlabError):
     """Exponent vector length must equal the sequence length."""
 
 
-class PreconditionViolated(SpanlabError):
+class PreconditionViolated(SpanlabError, ValueError):
     """Operation called on inputs outside its stated domain."""
 
 

@@ -316,16 +316,23 @@ def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
 
     One elimination of the whole degree-m product rows: rows go in by
     descending weight, so the rows of weight j that depend on those before
-    them count the level-j relations.
+    them count the level-j relations.  A row leads at its weight, so once
+    every column in [floor, m * deg + 1) leads a pivot, a row of weight
+    >= floor lies in their span and is counted without being read.
     """
     seq = system.adapted_orders
     monomials, rows = _product_rows(system, m)
     weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
     ech = _linalg.IncrementalRank()
+    pivots = ech.pivots  # a live view of the echelon
     dims: dict[int, int] = {}
+    floor = m * system.poly_degree + 1
     for i in sorted(range(len(rows)), key=weights.__getitem__, reverse=True):
-        if ech.add(rows[i]) is None:
+        if weights[i] >= floor or ech.add(rows[i]) is None:
             dims[weights[i]] = dims.get(weights[i], 0) + 1
+        else:
+            while floor - 1 in pivots:
+                floor -= 1
     # The kernel counted apart from dims: the rows less the rank.
     return FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank)
 

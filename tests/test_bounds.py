@@ -16,7 +16,7 @@ from spanlab import (
 )
 from math import comb
 
-from spanlab import bounds
+from spanlab import bounds, errors
 
 
 class TestFormulas:
@@ -135,7 +135,7 @@ class TestCountLimit:
                                                 rf"exceed the limit of {limit}$"):
             next_hypersurface_bound(2, nines)
         with pytest.raises(CountTooLarge, match=rf"^about {limit + 1} digits of C\(about 10\^{limit}, 2\) "):
-            bounds._printable(10 ** limit, "C({}, {})", 10 ** limit, 2)
+            errors.printable(10 ** limit, "C({}, {})", 10 ** limit, 2)
 
     def test_one_dimensional_count_is_zero_at_any_degree(self):
         assert max_hypersurfaces(1, 10 ** 5000) == 0

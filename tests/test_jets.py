@@ -2,10 +2,11 @@ import random
 import time
 from fractions import Fraction as F
 from math import comb, gcd
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -520,6 +521,34 @@ class TestCutReading:
         calls = _count_product_rows(monkeypatch)
         assert filtration_profile(system, 2).kernel_dim == 1
         assert calls == [2]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 5), st.integers(1, 2), st.integers(2, 3), st.data())
+    def test_saturated_columns_leave_the_profile(self, n, tail, m, data):
+        # Sections t^j plus integer tails to t^(n + tail) are dense: their top
+        # product columns fill, and the rows after are counted unread.  The
+        # profile is still that of the pass that reads every row.
+        system = JetSystem(tuple((0,) * j + (1,) + tuple(data.draw(st.lists(
+            st.integers(-9, 9), min_size=n + tail - j, max_size=n + tail - j))) for j in range(n + 1)))
+        with mock.patch.object(jets, "_unpack", wraps=_unpack) as unpack:
+            got = filtration_profile(system, m)
+        assume(unpack.call_count < comb(m + n, n))
+        expected = _two_pass_profile(system, m)
+        assert got == expected
+        assert list(got.dims.items()) == list(expected.dims.items())
+
+    def test_saturated_columns_are_not_read(self, monkeypatch):
+        # The dense at-limit rank: the 8,008 degree-10 products of seven
+        # dense sections fill all 91 columns long before the last row.
+        calls = []
+
+        def counting(value, k):
+            calls.append(k)
+            return _unpack(value, k)
+
+        monkeypatch.setattr(jets, "_unpack", counting)
+        assert sym_power_dim(perturbed_system(validate(range(7)), tail=3), 10) == 91
+        assert len(calls) < 1000
 
 
 class TestFiltration:

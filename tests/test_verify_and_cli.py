@@ -112,6 +112,55 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def refused(capsys, argv):
+    # A domain error within a second: exit 1, nothing on stdout and one
+    # error line on stderr, which is returned.
+    start = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def leaves(parser, path=""):
+    # Every leaf command of the parser, as (its words, its parser).
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from leaves(child, f"{path} {name}".strip())
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+# Seven sections 1, t, ..., t^6 with seeded tails to t^9, as text: every
+# degree-10 product is dense, and their 8,008 rows reach all 91 columns.
+DENSE7 = json.dumps([[str(c) for c in sec] for sec in
+                     spanlab.perturbed_system(spanlab.validate(range(7)), tail=3).sections])
+
+# A small valid call of every leaf but verify, whose --trials and --max-entry
+# size a sweep, not a budget; the jets leaves also read a sections file.
+PROBED = [
+    ("span", "--seq", "0,1,3", "--m", "2"),
+    ("semigroup", "--gens", "3,5"),
+    ("curve", "--seq", "0,1,3"),
+    ("hilbert", "--seq", "0,1,3", "--mcap", "8"),
+    ("ideal", "dims", "--seq", "0,1,3", "--m", "2"),
+    ("ideal", "gendeg", "--seq", "0,1,3", "--mcap", "4"),
+    ("game", "trace", "--seq", "0,1,2", "--from", "1,0,1", "--to", "0,2,0"),
+    ("jets", "rank", "--m", "2"),
+    ("jets", "maximal", "--m", "2"),
+    ("jets", "profile", "--m", "2"),
+    ("jets", "estimate", "--mlo", "1", "--mhi", "3"),
+    ("bounds", "hypersurfaces", "--n", "3", "--m", "2"),
+    ("bounds", "pluecker", "--n", "3", "--d", "4", "--g", "1", "--weights", "8,8"),
+]
+PROBES = [(base, at) for base in PROBED for at, word in enumerate(base) if word.startswith("--")]
+
+
 class TestCli:
     def test_span_human(self, capsys):
         code, out = run_cli(capsys, "span", "--seq", "0,1,2,4", "--m", "3", "--classify")
@@ -164,7 +213,7 @@ class TestCli:
                             "--from", "2,0,1", "--to", "0,3,0", "--json")
         result = json.loads(out)["result"]
         assert code == 0 and not result["equivalent"]
-        assert result["components"] is not None
+        assert result["components"] == [4, 3]
 
     def test_jets_commands(self, capsys, tmp_path):
         path = tmp_path / "sections.json"
@@ -356,31 +405,19 @@ class TestCli:
                        "--weights", "0,16")[0] == 1
 
     def test_oversized_semigroup_fails_fast(self, capsys):
-        start = time.perf_counter()
-        code = main(["semigroup", "--gens", "1000000007,1000000009"])
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "exceeds the limit" in capsys.readouterr().err
+        assert "exceeds the limit" in refused(capsys, ["semigroup", "--gens", "1000000007,1000000009"])
 
     def test_oversized_sumset_fails_fast(self, capsys):
-        start = time.perf_counter()
-        code = main(["hilbert", "--seq", "0,99999,100000"])
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "exceed the limit" in capsys.readouterr().err
+        assert "exceed the limit" in refused(capsys, ["hilbert", "--seq", "0,99999,100000"])
 
     @pytest.mark.parametrize("argv", [
-        ["span", "--seq", "0,1,3", "--m", "9" * sys.get_int_max_str_digits()],
-        ["hilbert", "--seq", "0,1,3", "--mcap", "9" * sys.get_int_max_str_digits()],
+        ["span", "--seq", "0,1,3", "--m", "9" * LIMIT],
+        ["hilbert", "--seq", "0,1,3", "--mcap", "9" * LIMIT],
     ], ids=["span", "hilbert"])
     def test_sumset_past_every_printable_top_fails_fast(self, capsys, argv):
         # 3 * m has one digit more than Python writes as text: the count
         # reads about 10^k, and the error is typed.
-        start = time.perf_counter()
-        code = main(argv)
-        assert time.perf_counter() - start < 1.0
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
+        err = refused(capsys, argv)
         assert re.fullmatch(r"error: about 10\^\d+ bits for the 9+-fold sums exceed the limit of 1000000\n", err)
 
     def test_span_builds_its_sumset_once(self, capsys, monkeypatch):
@@ -407,45 +444,34 @@ class TestCli:
         assert result["values"] == sorted(i + 100000 * j for j in range(11) for i in range(11 - j))
 
     def test_far_move_search_fails_fast(self, capsys):
-        start = time.perf_counter()
-        code = main(["game", "trace", "--seq", "0,1,2,3,4,5,6,7,8",
-                     "--from", "30,0,0,0,0,0,0,0,30", "--to", "0,0,0,0,60,0,0,0,0"])
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "exceed the limit" in capsys.readouterr().err
+        assert "exceed the limit" in refused(capsys, [
+            "game", "trace", "--seq", "0,1,2,3,4,5,6,7,8",
+            "--from", "30,0,0,0,0,0,0,0,30", "--to", "0,0,0,0,60,0,0,0,0"])
 
     @pytest.mark.parametrize("argv", [["--n", "100000", "--m", "100000"],
                                       ["--n", "1000000", "--m", "1000000", "--json"]])
     def test_oversized_hypersurface_count_fails_fast(self, capsys, argv):
         # C(200000, 100000) has about 60,000 digits, more than Python writes
         # as text; it is refused before it is computed.
-        start = time.perf_counter()
-        code = main(["bounds", "hypersurfaces", *argv])
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert out == ""
+        err = refused(capsys, ["bounds", "hypersurfaces", *argv])
         assert err.startswith("error: about ") and err.endswith(
-            f"digits of C({2 * int(argv[1])}, {argv[1]}) exceed the limit of {sys.get_int_max_str_digits()}\n")
+            f"digits of C({2 * int(argv[1])}, {argv[1]}) exceed the limit of {LIMIT}\n")
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "pluecker", "--n", "9" * 4000, "--d", "9" * 4000, "--g", "1"],
         ["bounds", "pluecker", "--n", "2", "--d", "3", "--g", "0",
-         "--weights", ",".join(["9" * sys.get_int_max_str_digits()] * 2)],
+         "--weights", ",".join(["9" * LIMIT] * 2)],
         ["span", "--seq", "0,1", "--m", "1000000"],
-        ["bounds", "hypersurfaces", "--n", "9" * sys.get_int_max_str_digits(), "--m", "2"],
-        ["bounds", "hypersurfaces", "--n", "2", "--m", "9" * sys.get_int_max_str_digits()],
-    ], ids=["pluecker-budget", "pluecker-weights", "span-work", "hypersurfaces-n", "hypersurfaces-m"])
+        ["bounds", "hypersurfaces", "--n", "9" * LIMIT, "--m", "2"],
+        ["bounds", "hypersurfaces", "--n", "2", "--m", "9" * LIMIT],
+        ["ideal", "dims", "--seq", "0,1," + "9" * LIMIT, "--m", "2"],
+    ], ids=["pluecker-budget", "pluecker-weights", "span-work", "hypersurfaces-n", "hypersurfaces-m",
+            "ideal-dims"])
     def test_unprintable_or_slow_answers_fail_fast(self, capsys, argv):
-        # A budget, weight sum or count Python cannot write (for the counts,
-        # m + n is too long to write as well), and a sumset whose shifts
-        # would run for about a minute, are typed errors before any output.
-        start = time.perf_counter()
-        code = main(argv)
-        assert time.perf_counter() - start < 1.0
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert re.fullmatch(r"error: .* exceed the limit of \d+\n", err)
+        # A budget, weight sum, count or weight Python cannot write (for the
+        # counts, m + n is too long to write as well), and a sumset whose
+        # shifts would run for about a minute, are typed errors before any output.
+        assert re.fullmatch(r"error: .* exceed the limit of \d+\n", refused(capsys, argv))
 
     def test_largest_printable_pluecker_answers(self, capsys):
         # The budget 10^limit - 2 and the weight sum 10^limit - 1 have
@@ -469,11 +495,7 @@ class TestCli:
         path.write_text(json.dumps([[0] * i + [1] for i in range(7)]))
         if argv[0] == "jets":
             argv = argv + ["--sections-file", str(path)]
-        start = time.perf_counter()
-        code = main(argv)
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "exceed the limit" in capsys.readouterr().err
+        assert "exceed the limit" in refused(capsys, argv)
 
     @pytest.mark.parametrize("sections, argv", [
         ("[[1, 2], [0, 1]]", ["rank", "--m", "1000000000"]),
@@ -482,28 +504,47 @@ class TestCli:
         # Three sections take seconds for the ranks at the degrees below the
         # first one over the budget, so estimate must check --mhi first.
         ("[[1, 2, 3], [0, 1, 5], [0, 0, 1, 7]]", ["estimate", "--mlo", "1", "--mhi", "1000000000"]),
-    ], ids=["rank", "maximal", "profile", "estimate"])
+        (DENSE7, ["estimate", "--mlo", "1", "--mhi", "1000000000"]),
+    ], ids=["rank", "maximal", "profile", "estimate", "estimate-dense7"])
     def test_huge_degree_fails_before_the_coefficient_bound(self, capsys, tmp_path, sections, argv):
         # Sections 1 + 2t and t have L1 norm 3: the product bound 3^m would
         # have 1.6e9 bits at this degree, so the budget must be checked first.
         path = tmp_path / "sections.json"
         path.write_text(sections)
+        assert "exceed the limit" in refused(capsys, ["jets", argv[0], "--sections-file", str(path), *argv[1:]])
+
+    def test_dense_rank_at_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "dense7.json"
+        path.write_text(DENSE7)
         start = time.perf_counter()
-        code = main(["jets", argv[0], "--sections-file", str(path), *argv[1:]])
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "exceed the limit" in capsys.readouterr().err
+        code, out = run_cli(capsys, "jets", "rank", "--sections-file", str(path), "--m", "10", "--json")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0 and json.loads(out)["result"]["dim"] == 91
+
+    @pytest.mark.parametrize("base, at", PROBES, ids=[f"{' '.join(filter(str.isalpha, b))} {b[at]}" for b, at in PROBES])
+    def test_extreme_values_answer_or_refuse_fast(self, capsys, tmp_path, base, at):
+        # One option of a small valid call, or the last entry of a list, set
+        # to each value: within a second every call exits 0-3, with at most
+        # one error line; an untyped error escapes main and fails the test.
+        path = tmp_path / "sections.json"
+        path.write_text("[[1], [0, 1, 2], [0, 0, 0, 1, 3]]")
+        for value in ("0", "1", "2", str(10 ** 6), str(10 ** 12), "9" * LIMIT):
+            argv = list(base)
+            argv[at + 1] = ",".join(base[at + 1].split(",")[:-1] + [value])
+            if base[0] == "jets":
+                argv += ["--sections-file", str(path)]
+            start = time.perf_counter()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv[:at + 1]
+            assert time.perf_counter() - start < 1.0, (argv[:at + 1], value[:12])
+            assert code in (0, 1, 2, 3)
+            assert capsys.readouterr().err.count("error:") <= 1
 
     def test_every_leaf_is_registered_with_json_handler_and_parser(self):
-        def leaves(parser, path):
-            groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            if not groups:
-                yield path, parser
-            for group in groups:
-                for name, child in group.choices.items():
-                    yield from leaves(child, f"{path} {name}".strip())
-
-        found = dict(leaves(_build_parser(), ""))
+        found = dict(leaves(_build_parser()))
         assert sorted(found) == [
             "bounds hypersurfaces", "bounds pluecker", "curve", "game trace", "hilbert",
             "ideal dims", "ideal gendeg", "jets estimate", "jets maximal", "jets profile",
@@ -512,6 +553,7 @@ class TestCli:
             assert leaf._option_string_actions["--json"].default is False, name
             assert callable(leaf.get_default("handler")), name
             assert leaf.get_default("parser") is leaf, name
+        assert {" ".join(filter(str.isalpha, base)) for base in PROBED} == set(found) - {"verify"}
 
     def test_repeated_calls_share_parser_state_safely(self, capsys):
         argv = ["ideal", "gendeg", "--seq", "0,1,3", "--mcap", "5", "--json"]
@@ -564,12 +606,9 @@ class TestCli:
         # Fraction would compute 10**1000000000; the text is refused unread.
         path = tmp_path / "big.json"
         path.write_text(text)
-        start = time.perf_counter()
-        assert main(["jets", "rank", "--sections-file", str(path), "--m", "2"]) == 1
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
+        err = refused(capsys, ["jets", "rank", "--sections-file", str(path), "--m", "2"])
         assert err.startswith(f"error: {path}: invalid coefficient '1e1000000000'")
-        assert "exponent notation" in err and err.count("\n") == 1
+        assert "exponent notation" in err
 
     def test_decimal_numbers_in_sections_file_read_exactly(self, tmp_path):
         # A JSON number is read from its text, not from the float it rounds to.
