@@ -1,11 +1,16 @@
-"""Exact linear algebra on integer rows by one fraction-free elimination.
+"""Exact linear algebra on sparse integer rows by fraction-free elimination.
 
-``IncrementalRank`` is the only elimination: it absorbs integer rows one at a
-time into a row echelon form, merging rows by gcd-scaled integer combinations.
-``add`` returns the leading column of the pivot a row adds, so one pass gives
-the rank of the rows cut below any column (the pivots leading below it) and,
-for rows extended by unit vectors, their left kernel (the pivots leading in
-the extension); floating point never touches a rank decision.
+``IncrementalRank`` absorbs integer rows one at a time into a row echelon
+form, merging rows by gcd-scaled integer combinations.  ``add`` returns the
+leading column of the pivot a row adds, so one pass gives the rank of the
+rows cut below any column (the pivots leading below it) and, for rows
+extended by unit vectors, their left kernel (the pivots leading in the
+extension); floating point never touches a rank decision.
+
+It serves the adapted basis of sections that share a lead and the kernel
+passes of propagation, whose rows reach out to unit columns and so stay
+sparse; ``jets.filtration_profile`` eliminates dense rows of its own,
+reading a packed product only when a merge needs it.
 """
 
 from __future__ import annotations

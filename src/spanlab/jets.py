@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -76,50 +76,33 @@ def _pack(coeffs: Sequence[int], k: int) -> int:
     return value
 
 
-def _unpack(value: int, k: int) -> dict[int, int]:
-    # The nonzero coefficients of a packed polynomial with every |c| < 2^(k-1),
-    # as {column: c}: they lie in the slots from the lowest set bit to the top one.
-    row: dict[int, int] = {}
-    if value:
-        col = ((value & -value).bit_length() - 1) // k
-        _read_slots(value >> (col * k), k, col, value.bit_length() // k + 1, row)
-    return row
+def _read(value: int, k: int, col: int, end: int) -> list[int]:
+    # The coefficients in the slots col..end-1 of a packed polynomial with
+    # every |c| < 2^(k-1) and no nonzero slot below col, as a dense list.
+    slots: list[int] = []
+    _read_slots(value >> (col * k), k, end - col, slots)
+    return slots
 
 
-def _read_slots(value: int, k: int, col: int, end: int, row: dict[int, int]) -> int:
-    # Reads the slots col..end-1 of value into row and returns the value
+def _read_slots(value: int, k: int, count: int, slots: list[int]) -> int:
+    # Appends the lowest count slots of value to slots and returns the value
     # left above them.  Each k-bit slot is a signed digit; a negative one
     # borrowed 1 from the slot above, which is paid back.
-    if end - col > _SLOTS_PER_LOOP and value:
-        h = (end - col) // 2
-        low = value & ((1 << (h * k)) - 1)
-        carry = _read_slots(low, k, col, col + h, row)
-        return _read_slots((value >> (h * k)) + carry, k, col + h, end, row)
+    if count > _SLOTS_PER_LOOP and value:
+        h = count // 2
+        carry = _read_slots(value & ((1 << (h * k)) - 1), k, h, slots)
+        return _read_slots((value >> (h * k)) + carry, k, count - h, slots)
     mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
-    while value and col < end:
+    while value and count:
         c = value & mask
         value >>= k
         if c >= half:
             c -= full
             value += 1
-        if c:
-            row[col] = c
-        col += 1
+        slots.append(c)
+        count -= 1
+    slots += [0] * count
     return value
-
-
-class _PackedRows(Sequence):
-    # Packed products, each unpacked to its sparse row when it is read, so
-    # a reader that takes one row at a time holds one row besides the
-    # packed values.  Integer indices only.
-    def __init__(self, values: list[int], k: int):
-        self._values, self._k = values, k
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, i: int) -> dict[int, int]:
-        return _unpack(self._values[i], self._k)
 
 
 @dataclass(frozen=True)
@@ -155,18 +138,25 @@ class JetSystem:
     @cached_property
     def _basis(self) -> dict[int, list[int]]:
         """Echelon rows of the sections scaled to integers (no rank changes),
-        dense to deg + 1, keyed by lead in ascending order: the vanishing
-        orders of the span.  Dependent sections raise ``DependentSections``."""
-        ech = _linalg.IncrementalRank()
-        for sec in self.sections:
-            if ech.add({c: v for c, v in enumerate(_cleared(sec)[1]) if v}) is None:
-                raise DependentSections("sections are linearly dependent")
+        dense to deg + 1, primitive, keyed by lead in ascending order: the
+        vanishing orders of the span.  Dependent sections raise
+        ``DependentSections``."""
         width = self.poly_degree + 1
+        rows = [_cleared(sec)[1] + [0] * (width - len(sec)) for sec in self.sections]
+        leads = [next((c for c, v in enumerate(row) if v), None) for row in rows]
+        if None in leads or len(set(leads)) < len(rows):
+            ech = _linalg.IncrementalRank()
+            for row in rows:
+                if ech.add({c: v for c, v in enumerate(row) if v}) is None:
+                    raise DependentSections("sections are linearly dependent")
+            leads = list(ech.pivots)
+            rows = [[pivot.get(c, 0) for c in range(width)] for pivot in ech.pivots.values()]
+        # Rows that lead at distinct columns are their own echelon, as the
+        # pivots are: each is its row divided by its content.
         basis = {}
-        for lead, pivot in sorted(ech.pivots.items()):
-            row = basis[lead] = [0] * width
-            for c, v in pivot.items():
-                row[c] = v
+        for lead, row in sorted(zip(leads, rows)):
+            g = gcd(*row)
+            basis[lead] = [x // g for x in row] if g > 1 else row
         return basis
 
     @cached_property
@@ -188,14 +178,10 @@ def perturbed_system(seq: VanishingSequence, tail: int = 3, seed: int = 0) -> Je
     a_j + 1 .. a_j + tail.  Reproducible for a fixed seed.
     """
     rng = random.Random(seed)
-    sections = []
-    for a in seq:
-        coeffs = [Fraction(0)] * (a + tail + 1)
-        coeffs[a] = Fraction(1)
-        for e in range(a + 1, a + tail + 1):
-            coeffs[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        sections.append(tuple(coeffs))
-    return JetSystem(tuple(sections))
+    return JetSystem(tuple(
+        (Fraction(0),) * a + (Fraction(1),)
+        + tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(tail))
+        for a in seq))
 
 
 def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) -> JetSystem:
@@ -218,8 +204,8 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
     packed = _pack(scaled, k)
     sections = []
     for a in seq:
-        row, scale = _unpack(packed ** a, k), d ** a
-        sections.append([Fraction(row.get(c, 0), scale) for c in range(max(row) + 1)])
+        scale = d ** a
+        sections.append([Fraction(c, scale) for c in _read(packed ** a, k, 0, a * (len(u) - 1) + 1)])
     for j in range(len(sections)):
         for i in range(j + 1, len(sections)):
             gamma = Fraction(rng.randint(-2, 2))
@@ -254,14 +240,17 @@ def adapted_basis(system: JetSystem) -> tuple[VanishingSequence, list[tuple[Frac
     return system.adapted_orders, [tuple(reduced[a]) for a in system._basis]
 
 
-def _product_rows(system: JetSystem, m: int) -> tuple[list[tuple[int, ...]], Sequence[dict[int, int]]]:
-    """Whole degree-m products of the adapted basis, as sparse integer rows
-    {column: coefficient} without zero entries, each unpacked when read.
+def _product_rows(system: JetSystem, m: int) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Whole degree-m products of the adapted basis, Kronecker-packed: the
+    monomials, one packed integer per monomial and the slot width k, so
+    ``_read`` gives any run of a product's coefficients.
 
     The basis is the echelon rows ``system._basis`` in order of their lead,
-    row i leading at a_i, so the product over xi leads at the weight of xi
-    whatever basis the sections were given in; it spans what the sections
-    span, so every rank and kernel dimension is that of their products.
+    row i leading at a_i with a nonzero coefficient, so the product over xi
+    leads at the weight of xi, with the product of those leads, never zero,
+    as its coefficient, whatever basis the sections were given in; it spans
+    what the sections span, so every rank and kernel dimension is that of
+    their products.
 
     Monomials and rows come from the degree-by-degree growth that lists the
     weight classes, in ``monomials_of_degree(m, n+1)`` order.  The basis
@@ -275,7 +264,7 @@ def _product_rows(system: JetSystem, m: int) -> tuple[list[tuple[int, ...]], Seq
     _check_enumeration(m, len(secs), m * system.poly_degree + 1)
     k = (max(sum(map(abs, sec)) for sec in secs) ** m).bit_length() + 1
     monomials, values = _grow(m, [_pack(sec, k) for sec in secs], mul, 1)
-    return monomials, _PackedRows(values, k)
+    return monomials, values, k
 
 
 def sym_power_dim(system: JetSystem, m: int) -> int:
@@ -316,25 +305,54 @@ def filtration_profile(system: JetSystem, m: int) -> FiltrationProfile:
 
     One elimination of the whole degree-m product rows: rows go in by
     descending weight, so the rows of weight j that depend on those before
-    them count the level-j relations.  A row leads at its weight, so once
-    every column in [floor, m * deg + 1) leads a pivot, a row of weight
-    >= floor lies in their span and is counted without being read.
+    them count the level-j relations.  A row leads at its weight with a
+    nonzero coefficient, so the first row of each weight is a new pivot
+    without being read; it is read only when a later row merges against
+    it.  Once every column in [floor, m * deg + 1) leads a pivot, a row of
+    weight >= floor lies in their span and is counted without being read.
     """
     seq = system.adapted_orders
-    monomials, rows = _product_rows(system, m)
+    monomials, values, k = _product_rows(system, m)
     weights = [sum(map(mul, seq.entries, xi)) for xi in monomials]
-    ech = _linalg.IncrementalRank()
-    pivots = ech.pivots  # a live view of the echelon
+    end = floor = m * system.poly_degree + 1
+    # Pivots by lead: a packed value until a row merges against it, then its
+    # dense primitive coefficients from the lead to the end.
+    pivots: dict[int, int | list[int]] = {}
     dims: dict[int, int] = {}
-    floor = m * system.poly_degree + 1
-    for i in sorted(range(len(rows)), key=weights.__getitem__, reverse=True):
-        if weights[i] >= floor or ech.add(rows[i]) is None:
-            dims[weights[i]] = dims.get(weights[i], 0) + 1
-        else:
-            while floor - 1 in pivots:
-                floor -= 1
+    for i in sorted(range(len(values)), key=weights.__getitem__, reverse=True):
+        w = weights[i]
+        if w < floor and w not in pivots:
+            pivots[w] = values[i]
+        elif w >= floor or not _absorb(pivots, _read(values[i], k, w, end), w, k, end):
+            dims[w] = dims.get(w, 0) + 1
+            continue
+        while floor - 1 in pivots:
+            floor -= 1
     # The kernel counted apart from dims: the rows less the rank.
-    return FiltrationProfile(m=m, dims=dims, kernel_dim=len(rows) - ech.rank)
+    return FiltrationProfile(m=m, dims=dims, kernel_dim=len(values) - len(pivots))
+
+
+def _absorb(pivots: dict[int, int | list[int]], row: list[int], lead: int, k: int, end: int) -> bool:
+    # Reduces a dense row from its lead to end by the pivots and stores what
+    # is left, divided by its content, as a new pivot; False if nothing is.
+    # A packed pivot is read on its first merge: it needs no division, since
+    # a product of primitive polynomials is primitive (Gauss's lemma).
+    while lead in pivots:
+        pivot = pivots[lead]
+        if type(pivot) is int:
+            pivot = pivots[lead] = _read(pivot, k, lead, end)
+        g = gcd(pivot[0], row[0])
+        fa, fb = row[0] // g, pivot[0] // g
+        row = [fb * x - fa * y for x, y in zip(row, pivot)]
+        for j, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        row, lead = row[j:], lead + j
+    g = gcd(*row)
+    pivots[lead] = [x // g for x in row] if g > 1 else row
+    return True
 
 
 @dataclass(frozen=True)
@@ -373,9 +391,11 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
             # the pivots leading below N give the rank and those leading at
             # or past N are a basis of the relations, as combinations of the rows.
             n_coeffs = t * system.poly_degree + 1
-            monomials, rows = _product_rows(system, t)
+            monomials, values, k = _product_rows(system, t)
             ech = _linalg.IncrementalRank()
-            for i, row in enumerate(rows):
+            for i, (xi, value) in enumerate(zip(monomials, values)):
+                lead = sum(map(mul, seq.entries, xi))
+                row = {c: v for c, v in enumerate(_read(value, k, lead, n_coeffs), lead) if v}
                 row[n_coeffs + i] = 1
                 ech.add(row)
             dim = sum(lead < n_coeffs for lead in ech.pivots)

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate
 from math import comb, gcd
 from unittest import mock
 
@@ -34,7 +35,7 @@ from spanlab import (
     validate,
 )
 from spanlab import _linalg, jets, monomial_ideal
-from spanlab.jets import FiltrationProfile, _pack, _product_rows, _unpack
+from spanlab.jets import FiltrationProfile, _pack, _product_rows, _read
 
 
 def _naive_mul(a, b):
@@ -53,6 +54,14 @@ def _naive_row(secs, xi):
         for _ in range(k):
             expected = _naive_mul(expected, sec)
     return {c: v for c, v in enumerate(expected) if v}
+
+
+def _sparse_rows(system, m):
+    # The degree-m monomials and their product rows, each read whole from its
+    # packed value as a sparse row {column: value} without zero entries.
+    monos, values, k = _product_rows(system, m)
+    width = m * system.poly_degree + 1
+    return monos, [{c: v for c, v in enumerate(_read(value, k, 0, width)) if v} for value in values]
 
 
 def _adapted_sections(system):
@@ -117,6 +126,35 @@ class TestReparametrized:
                 for tail in (0, 1, 3):
                     system = reparametrized_system(seq, tail=tail, seed=seed)
                     assert system.sections == _schoolbook_reparametrized(seq, tail, seed)
+
+
+def _eliminated_basis(system):
+    # Every scaled section added to one plain IncrementalRank, the pivots
+    # made dense to deg + 1 in order of their lead; None if any is dependent.
+    width = system.poly_degree + 1
+    ech = _linalg.IncrementalRank()
+    for sec in _scaled_sections(system):
+        if ech.add({c: v for c, v in enumerate(sec) if v}) is None:
+            return None
+    return {lead: [pivot.get(c, 0) for c in range(width)] for lead, pivot in sorted(ech.pivots.items())}
+
+
+class TestPerturbed:
+    def test_seeded_sections_and_eliminated_basis(self):
+        # Sections leading at a_0 < ... < a_n are their own echelon, and the
+        # basis taken that way is the elimination's, keyed in the same order;
+        # the sections are the seeded draws of old: t^a plus
+        # numerator-then-denominator pairs on a + 1 .. a + tail.
+        for seq in normalized_sequences(1, 4, 8):
+            for seed in range(5):
+                for tail in (0, 1, 3):
+                    system = perturbed_system(seq, tail=tail, seed=seed)
+                    assert list(system._basis.items()) == list(_eliminated_basis(system).items())
+                    rng = random.Random(seed)
+                    drawn = JetSystem(tuple(
+                        (0,) * a + (1,) + tuple(F(rng.randint(-9, 9), rng.randint(1, 9))
+                                                for _ in range(tail)) for a in seq))
+                    assert system.sections == drawn.sections
 
 
 class TestCoefficientText:
@@ -200,7 +238,7 @@ class TestProductRows:
         system = make(validate(entries), seed=seed)
         secs = _adapted_sections(system)
         for m in range(4):
-            monos, rows = _product_rows(system, m)
+            monos, rows = _sparse_rows(system, m)
             assert monos == list(monomials_of_degree(m, len(secs)))
             for xi, row in zip(monos, rows):
                 assert row == _naive_row(secs, xi), xi
@@ -216,12 +254,14 @@ class TestProductRows:
     def test_pack_round_trip_across_the_halving(self, k, data):
         # Values of more than 64 slots are packed and read in halves, so a
         # borrow must cross each half; digits reach both ends of |c| < 2^(k-1),
-        # and the value is read whole, up to its top slot.
+        # and the value is read whole, from any column at or below its lowest
+        # nonzero slot to past its top one, where the slots read zero.
         top = 2 ** (k - 1) - 1
         digits = st.sampled_from([0, top, -top, -1, 1]) | st.integers(-top, top)
         coeffs = data.draw(st.lists(digits, min_size=65, max_size=300))
-        expected = {i: c for i, c in enumerate(coeffs) if c}
-        assert _unpack(_pack(coeffs, k), k) == expected
+        col = data.draw(st.integers(0, next((i for i, c in enumerate(coeffs) if c), len(coeffs))))
+        past = data.draw(st.integers(0, 70))
+        assert _read(_pack(coeffs, k), k, col, len(coeffs) + past) == coeffs[col:] + [0] * past
 
     def test_rows_longer_than_one_shift_loop(self):
         # Degree-89 sections: the products at m = 1, 2, 3 have 90, 179 and
@@ -232,7 +272,7 @@ class TestProductRows:
         system = JetSystem(secs)
         secs = _adapted_sections(system)
         for m in (1, 2, 3):
-            monos, rows = _product_rows(system, m)
+            monos, rows = _sparse_rows(system, m)
             assert max(max(row) for row in rows) == m * 89
             for xi, row in zip(monos, rows):
                 assert row == _naive_row(secs, xi), xi
@@ -339,6 +379,17 @@ class TestAdaptedBasis:
         for _ in range(20):
             assert not _check_against_rref(_random_system(rng, dependent=True))
 
+    @given(_jet_systems())
+    def test_basis_is_the_elimination(self, system):
+        # Whether the sections lead at distinct columns or must be
+        # eliminated, the basis is that of the plain elimination.
+        expected = _eliminated_basis(system)
+        if expected is None:
+            with pytest.raises(DependentSections):
+                system._basis
+        else:
+            assert list(system._basis.items()) == list(expected.items())
+
 
 class TestSymPowerDim:
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (3, 3), (4, 2)])
@@ -425,7 +476,7 @@ class TestExactCut:
             secs = _adapted_sections(system)
         except DependentSections:
             return
-        monos, rows = _product_rows(system, m)
+        monos, rows = _sparse_rows(system, m)
         assert monos == list(monomials_of_degree(m, len(secs)))
         for xi, row in zip(monos, rows):
             assert row == _naive_row(secs, xi), xi
@@ -475,7 +526,7 @@ def _two_pass_profile(system, m):
     # The profile of the product rows, eliminated on their own: by descending
     # weight, each row that leaves the rank unchanged is a relation.
     seq = system.adapted_orders
-    monos, rows = _product_rows(system, m)
+    monos, rows = _sparse_rows(system, m)
     weights = [sum(a * k for a, k in zip(seq, xi)) for xi in monos]
     ech = _linalg.IncrementalRank()
     dims = {}
@@ -530,9 +581,13 @@ class TestCutReading:
         # profile is still that of the pass that reads every row.
         system = JetSystem(tuple((0,) * j + (1,) + tuple(data.draw(st.lists(
             st.integers(-9, 9), min_size=n + tail - j, max_size=n + tail - j))) for j in range(n + 1)))
-        with mock.patch.object(jets, "_unpack", wraps=_unpack) as unpack:
+        with mock.patch.object(jets, "_read", wraps=_read) as read:
             got = filtration_profile(system, m)
-        assume(unpack.call_count < comb(m + n, n))
+        # Without the skip only the first row of each weight can go unread,
+        # so fewer reads than that leaves means the skip fired.
+        seq = system.adapted_orders
+        weights = {sum(a * k for a, k in zip(seq, xi)) for xi in _product_rows(system, m)[0]}
+        assume(read.call_count < comb(m + n, n) - len(weights))
         expected = _two_pass_profile(system, m)
         assert got == expected
         assert list(got.dims.items()) == list(expected.dims.items())
@@ -540,15 +595,44 @@ class TestCutReading:
     def test_saturated_columns_are_not_read(self, monkeypatch):
         # The dense at-limit rank: the 8,008 degree-10 products of seven
         # dense sections fill all 91 columns long before the last row.
-        calls = []
-
-        def counting(value, k):
-            calls.append(k)
-            return _unpack(value, k)
-
-        monkeypatch.setattr(jets, "_unpack", counting)
+        calls = _count_reads(monkeypatch)
         assert sym_power_dim(perturbed_system(validate(range(7)), tail=3), 10) == 91
         assert len(calls) < 1000
+
+    def test_first_row_of_a_weight_is_read_only_when_merged(self, monkeypatch):
+        # Each product row leads at its weight with a nonzero coefficient, so
+        # the first of a weight becomes a pivot unread; of the 20 cubic rows
+        # of this system, 16 are read, each once.
+        system = perturbed_system(validate([0, 1, 2, 3]), tail=3, seed=0)
+        calls = _count_reads(monkeypatch)
+        assert filtration_profile(system, 3) == _two_pass_profile(system, 3)
+        assert len(calls) == 16
+        assert len(set(calls)) == 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([perturbed_system, reparametrized_system]),
+           st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           st.integers(1, 4), st.integers(0, 99), st.integers(0, 4))
+    def test_seeded_systems(self, make, gaps, tail, seed, m):
+        # The dense seeded systems the sweeps profile: merges of read rows
+        # against unread pivots give the profile of the pass that reads all.
+        system = make(validate([0, *accumulate(gaps)]), tail=tail, seed=seed)
+        expected = _two_pass_profile(system, m)
+        got = filtration_profile(system, m)
+        assert got == expected
+        assert list(got.dims.items()) == list(expected.dims.items())
+
+
+def _count_reads(monkeypatch):
+    # The (value, column) of each packed value read through jets.
+    calls = []
+
+    def counting(value, k, col, end):
+        calls.append((value, col))
+        return _read(value, k, col, end)
+
+    monkeypatch.setattr(jets, "_read", counting)
+    return calls
 
 
 class TestFiltration:
@@ -619,7 +703,7 @@ class TestFiltration:
             profile = filtration_profile(system, m)
             seq, _ = adapted_basis(system)
             n_coeffs = m * system.poly_degree + 1
-            monos, rows = _product_rows(system, m)
+            monos, rows = _sparse_rows(system, m)
             weights = sorted({weight(xi, seq) for xi in monos})
 
             def nullity_at_least(j):

@@ -18,7 +18,7 @@ from spanlab import (
 )
 from spanlab import _linalg
 from spanlab._linalg import IncrementalRank
-from spanlab.jets import _product_rows
+from spanlab.jets import _product_rows, _read
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -68,7 +68,8 @@ def propagation_relations(system, m, t_max):
     found = {}
     for t in range(m, t_max):
         n_coeffs = t * system.poly_degree + 1
-        rows = list(_product_rows(system, t)[1])
+        _, values, k = _product_rows(system, t)
+        rows = [{c: v for c, v in enumerate(_read(value, k, 0, n_coeffs)) if v} for value in values]
         extended = [{**row, n_coeffs + i: 1} for i, row in enumerate(rows)]
         passes = [ech for ech in echelons if ech.rows == extended]
         if not passes:
