@@ -27,7 +27,7 @@ from .errors import (
     PropagationFailed,
     TooShort,
 )
-from .monomial_ideal import _check_enumeration, _grow, generation_scan
+from .monomial_ideal import _check_enumeration, _generator_degrees, _grow
 from .sequences import VanishingSequence
 from .span import span
 
@@ -404,7 +404,7 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
         if t == m:
             if dim != span(seq, m):
                 raise HypothesisFailed(f"system is not {m}-maximal")
-            for d in generation_scan(seq, t_max).generator_degrees:
+            for d in _generator_degrees(seq, t_max):
                 if d > m:
                     raise HypothesisFailed(
                         f"degree-{d} relations of {seq.entries} are not generated in degree {m}")

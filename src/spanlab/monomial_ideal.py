@@ -13,12 +13,14 @@ some equal-weight class is not joined by monomials sharing a variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from math import comb
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated, over_limit
+from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated, over_limit, written
 from .sequences import VanishingSequence
+from .span import _check_sumset, _sumset_masks
 
 Monomial = tuple[int, ...]
 Move = tuple[tuple[int, int], tuple[int, int]]
@@ -247,10 +249,14 @@ class GenerationScan:
     Two degree-m monomials of one weight that share a variable x_i differ by
     x_i times a degree-(m-1) relation, so degree m carries a minimal
     generator exactly when some degree-m weight class is not joined by
-    shared variables.  ``generator_degrees`` lists those m in [3; m_cap];
-    ``quadric[m]`` tells whether the quadrics generate degree m, i.e.
-    whether two-piece moves connect every degree-m weight class: the same
-    sharing, lifted from the two-step components of degree m-1.
+    shared variables: the connectivity criterion of Briales, Campillo,
+    Marijuán and Pisón ("Minimal systems of generators for ideals of
+    semigroups", J. Pure Appl. Algebra 124, 1998).  ``generator_degrees``
+    lists those m in [3; m_cap].  ``quadric[m]`` tells whether the quadrics
+    generate degree m, i.e. whether two-piece moves connect every degree-m
+    weight class: the same sharing, lifted from the two-step components of
+    degree m-1.  It is True below the first generator degree; whether it
+    always equals "no generator degree in [3; m]" is unproven.
     """
 
     m_cap: int
@@ -264,32 +270,76 @@ class GenerationScan:
         return max((2, *self.generator_degrees))
 
 
-def generation_scan(seq: VanishingSequence, m_cap: int) -> GenerationScan:
-    """Minimal-generator degrees and quadric flags of each degree in
-    [3; m_cap], from one lift per level of one enumeration, and a second
-    where degree m-1 splits into more than one two-step component.
-    """
+def _generator_degrees(seq: VanishingSequence, m_cap: int) -> tuple[int, ...]:
+    # The degrees m in [3; m_cap] of the minimal generators, read on the
+    # sumset masks v_{m-2} and v_{m-1} for all weights at once.  Bit w of
+    # uses = v_{m-1} << a_i is set when a degree-m monomial of weight w uses
+    # x_i, and bit w of v_{m-2} << (a_i + a_j) when one uses both x_i and x_j.
+    # From the lowest variable used at each weight, the variables joined to
+    # it through shared monomials are reached; degree m carries a generator
+    # when some used variable stays missing.  Each degree shifts about
+    # (n+1)^2 masks, so the work is checked before the first shift.
     if m_cap < 2:
         raise ValueError(f"m_cap must be >= 2, got {m_cap}")
-    generator_degrees = []
-    quadric = {}
-    below = None  # the two-step blocks of degree m-1; None when every class is one
-    for m, level in enumerate(_levels(m_cap, seq.entries)):
-        if m < 3:
-            continue
-        joined = _lift(level)
-        if joined is not None:
-            generator_degrees.append(m)
-        below = joined if below is None else _lift(level, below)
-        quadric[m] = below is None
-    return GenerationScan(m_cap, tuple(generator_degrees), quadric)
+    entries = seq.entries
+    _check_sumset(seq, m_cap, len(entries) ** 2, f"the generator degrees to degree {written(m_cap)}")
+    degrees = []
+    for m, (two_down, one_down) in enumerate(pairwise(_sumset_masks(seq, m_cap - 1)), 3):
+        reached, missing, seen = [], [], 0
+        for a in entries:
+            uses = one_down << a
+            reached.append(uses & ~seen)
+            missing.append(uses & seen)
+            seen |= uses
+        changed = True
+        while changed and any(missing):
+            changed = False
+            for i, a in enumerate(entries):
+                joined = reached[i]
+                for j, b in enumerate(entries):
+                    if missing[j]:  # empty at j = i: x_i is never both reached and missing
+                        step = joined & (two_down << (a + b)) & missing[j]
+                        if step:
+                            reached[j] |= step
+                            missing[j] ^= step
+                            changed = True
+        if any(missing):
+            degrees.append(m)
+    return tuple(degrees)
+
+
+def generation_scan(seq: VanishingSequence, m_cap: int) -> GenerationScan:
+    """Minimal-generator degrees and quadric flags of each degree in
+    [3; m_cap].
+
+    Degree m carries a minimal generator exactly when some degree-m weight
+    class is not joined by shared variables (Briales, Campillo, Marijuán and
+    Pisón, J. Pure Appl. Algebra 124, 1998).  That is read on the sumset
+    masks, with no monomial listed.  Below the first generator degree g,
+    every flag is True: with no generator in [3; m] the quadrics generate
+    degree m.  So every degree-(g-1) weight class is one two-step component,
+    and from g on the flags are lifted degree by degree from there, one
+    lift per level of one enumeration to m_cap.  They are lifted, not
+    derived, because whether quadric[m] always equals "no generator degree
+    in [3; m]" is unproven.
+    """
+    generator_degrees = _generator_degrees(seq, m_cap)
+    first = generator_degrees[0] if generator_degrees else m_cap + 1
+    quadric = dict.fromkeys(range(3, first), True)
+    if generator_degrees:
+        below = None  # the two-step blocks of degree m-1; None when every class is one
+        for m, level in enumerate(_levels(m_cap, seq.entries)):
+            if m >= first:
+                below = _lift(level, below)
+                quadric[m] = below is None
+    return GenerationScan(m_cap, generator_degrees, quadric)
 
 
 def generation_degree(seq: VanishingSequence, m_cap: int) -> int:
     """Smallest g >= 2 with every degree in (g; m_cap] generated by
     degree-g steps; g = m_cap always qualifies.  Degrees beyond m_cap are
     never extrapolated."""
-    return generation_scan(seq, m_cap).degree
+    return max((2, *_generator_degrees(seq, m_cap)))
 
 
 @dataclass(frozen=True)

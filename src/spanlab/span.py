@@ -16,7 +16,8 @@ from .sequences import VanishingSequence
 
 # Fail-fast limits on the m-fold sumset bitmask: its top bit m * a_n, and the
 # work (n+1) * m * (m * a_n), twice the bits shifted to build v_1, ..., v_m;
-# (0, 1) at m = 100,000 meets the work limit and takes about a second.
+# (0, 1) at m = 100,000 meets the work limit and takes about a second.  A
+# scan that shifts s masks per degree has the work s * m * (m * a_n).
 MAX_SUMSET_BITS = 1_000_000
 MAX_SUMSET_WORK = 2 * 10 ** 10
 
@@ -54,17 +55,23 @@ class SpanClassification:
     step: Optional[int] = None
 
 
+def _check_sumset(seq: VanishingSequence, m: int, shifts: int, what: str) -> None:
+    # The limits on a scan of the sums of up to m entries that shifts
+    # ``shifts`` masks per degree; ``what`` names the scan in the work message.
+    top = m * seq.entries[-1]
+    if top > MAX_SUMSET_BITS:
+        raise SumsetTooLarge(over_limit(top, f"bits for the {written(m)}-fold sums", MAX_SUMSET_BITS))
+    if (work := shifts * m * top) > MAX_SUMSET_WORK:
+        raise SumsetTooLarge(over_limit(work, f"bits of work for {what}", MAX_SUMSET_WORK))
+
+
 def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:
     # Characteristic bitmasks of v_1, ..., v_m; iterated sumset
     # v_{j+1} = v_j + entries.  Bit k set <=> k is a sum of exactly j entries.
     # OR-ing shifted copies is the sorted-merge dedup in disguise and is exact
     # on Python ints.  The limits are checked before the first shift.
     entries = seq.entries
-    top = m * entries[-1]
-    if top > MAX_SUMSET_BITS:
-        raise SumsetTooLarge(over_limit(top, f"bits for the {written(m)}-fold sums", MAX_SUMSET_BITS))
-    if (work := len(entries) * m * top) > MAX_SUMSET_WORK:
-        raise SumsetTooLarge(over_limit(work, f"bits of work for the {written(m)}-fold sums", MAX_SUMSET_WORK))
+    _check_sumset(seq, m, len(entries), f"the {written(m)}-fold sums")
     mask = 0
     for a in entries:
         mask |= 1 << a

@@ -736,6 +736,17 @@ class TestPropagation:
         with pytest.raises(HypothesisFailed):
             check_ideal_propagation(monomial_system(validate([0, 1, 3])), 2, 4)
 
+    def test_hypothesis_reads_generator_degrees_without_a_lift(self, monkeypatch):
+        # The hypothesis needs the generator degrees alone, which the sumset
+        # masks give; the quadric lift is never run.
+        def no_lift(level, below):
+            raise AssertionError("quadric lift run")
+        monkeypatch.setattr(monomial_ideal, "_lift", no_lift)
+        with pytest.raises(HypothesisFailed, match=(
+                r"^degree-3 relations of \(0, 1, 3\) are not generated in degree 2$")):
+            check_ideal_propagation(monomial_system(validate([0, 1, 3])), 2, 4)
+        assert check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5).m == 2
+
     def test_hypothesis_rejects_non_maximal_system(self):
         system = JetSystem(((F(1),), (F(0), F(1)), (F(0), F(0), F(1), F(1))))
         assert not is_m_maximal(system, 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spanlab import (
     EnumerationTooLarge,
+    GenerationScan,
     HypothesisFailed,
     LengthMismatch,
     NonEquivalent,
@@ -33,7 +34,8 @@ from spanlab import (
 )
 from spanlab import monomial_ideal
 from spanlab.errors import over_limit
-from spanlab.monomial_ideal import _component_ids, _components, _pair_targets, _weight_classes
+from spanlab.monomial_ideal import (
+    _component_ids, _components, _generator_degrees, _pair_targets, _weight_classes)
 
 
 class TestBasics:
@@ -80,14 +82,19 @@ class TestEnumerationBudget:
 
     def test_limit_passes_and_one_past_raises(self, monkeypatch):
         seq = validate([0, 1, 2, 3, 4, 5])
+        # A generator in degree 4, so its quadric flags are lifted from there.
+        split = validate([0, 1, 4, 5, 6, 7])
         entries = comb(7 + 6, 6) * 6  # monomials of degree <= 7, 6 exponents each
         monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", entries)
         assert bigraded_dims(seq, 7).total == comb(7 + 5, 5)
+        assert generation_scan(split, 7).generator_degrees == (4,)
         monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", entries - 1)
         with pytest.raises(EnumerationTooLarge):
             bigraded_dims(seq, 7)
         with pytest.raises(EnumerationTooLarge):
-            generation_scan(seq, 7)
+            generation_scan(split, 7)
+        # The progression has no generator degree, so it lists no monomial.
+        assert generation_scan(seq, 7) == GenerationScan(7, (), dict.fromkeys(range(3, 8), True))
 
     def test_message_counts(self):
         # In full up to 12 digits, about 10^k past that; the limit in full.
@@ -377,6 +384,41 @@ class TestPartitionOracle:
         else:
             with pytest.raises(HypothesisFailed, match=f"degree-{first} relations"):
                 check_ideal_propagation(monomial_system(seq), m, m_cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_sequences(), st.integers(2, 8))
+    def test_mask_criterion_matches_brute_force(self, seq, m_cap):
+        # Degree d carries a generator when its classes split under moves of
+        # up to d - 1 pieces, i.e. when not joined by shared variables.
+        assert _generator_degrees(seq, m_cap) == tuple(
+            d for d in range(3, m_cap + 1) if not brute_generated(seq, d, d - 1))
+
+    @pytest.mark.parametrize("entries,lifted", [
+        ((0, 1, 2, 3), []), ((0, 1, 2, 4), []), ((0, 5), []),
+        ((0, 1, 3), [3, 4, 5, 6]), ((0, 1, 4, 5, 6, 7), [4, 5, 6]),
+    ])
+    def test_lift_starts_at_the_first_generator_degree(self, monkeypatch, entries, lifted):
+        # Below the first generator degree the quadrics generate, so no
+        # monomial is listed unless some degree up to the cap carries one.
+        levels, lift = monomial_ideal._levels, monomial_ideal._lift
+        listed, degrees = [], []
+
+        def counting_levels(m, *args):
+            listed.append(m)
+            return levels(m, *args)
+
+        def counting_lift(level, below):
+            degrees.append(sum(level[0][0]))
+            return lift(level, below)
+        monkeypatch.setattr(monomial_ideal, "_levels", counting_levels)
+        monkeypatch.setattr(monomial_ideal, "_lift", counting_lift)
+        seq = validate(entries)
+        scan = generation_scan(seq, 6)
+        assert listed == ([6] if lifted else [])
+        assert degrees == lifted
+        assert scan.generator_degrees[:1] == tuple(lifted[:1])
+        monkeypatch.undo()
+        assert scan.quadric == {d: brute_generated(seq, d, 2) for d in range(3, 7)}
 
 
 # The search's expansion order fixes which shortest trace is returned; these

@@ -443,6 +443,38 @@ class TestCli:
         assert code == 0 and result["span"] == 66
         assert result["values"] == sorted(i + 100000 * j for j in range(11) for i in range(11 - j))
 
+    def test_generator_degree_work_fails_fast(self, capsys):
+        # (0, 1) shifts 2^2 masks per degree of up to m_cap bits: m_cap 70711
+        # passes the work limit, 70710 meets it and is answered (0.8 s on a
+        # 2-core machine).
+        assert refused(capsys, ["ideal", "gendeg", "--seq", "0,1", "--mcap", "70711"]) == (
+            "error: 20000182084 bits of work for the generator degrees to degree 70711 "
+            "exceed the limit of 20000000000\n")
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "ideal", "gendeg", "--seq", "0,1", "--mcap", "70710")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (0, "generated in degrees <= 2 (scanned to 70710)\n")
+
+    @pytest.mark.parametrize("seq, mcap", [("0,1,2", 1000), (",".join(map(str, range(16))), 40)])
+    def test_gendeg_without_generators_lists_no_monomial(self, capsys, seq, mcap):
+        # Past the enumeration budget, but no degree up to the cap carries a
+        # generator, so the sumset masks answer alone.
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "ideal", "gendeg", "--seq", seq, "--mcap", str(mcap), "--json")
+        assert time.perf_counter() - start < 1.0
+        result = json.loads(out)["result"]
+        assert code == 0 and result["generation_degree"] == 2
+        assert result["quadric_generated_by_degree"] == {str(m): True for m in range(3, mcap + 1)}
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--seq", "0,1,3", "--mcap", "1000"], "entries for the degree-1000 monomials in 3 variables"),
+        (["--seq", "0,1,400000", "--mcap", "3"], "bits for the 3-fold sums"),
+    ], ids=["lift", "sumset"])
+    def test_gendeg_past_a_budget_fails_fast(self, capsys, argv, what):
+        # (0, 1, 3) has a generator in degree 3, so its quadric flags need the
+        # enumeration; a top sum past the bitmask limit is refused first.
+        assert what in refused(capsys, ["ideal", "gendeg", *argv])
+
     def test_far_move_search_fails_fast(self, capsys):
         assert "exceed the limit" in refused(capsys, [
             "game", "trace", "--seq", "0,1,2,3,4,5,6,7,8",
