@@ -7,10 +7,9 @@ rows cut below any column (the pivots leading below it) and, for rows
 extended by unit vectors, their left kernel (the pivots leading in the
 extension); floating point never touches a rank decision.
 
-It serves the adapted basis of sections that share a lead and the kernel
-passes of propagation, whose rows reach out to unit columns and so stay
-sparse; ``jets.filtration_profile`` eliminates dense rows of its own,
-reading a packed product only when a merge needs it.
+It serves only the two unit-extended passes of propagation, whose rows
+reach out to unit columns and so stay sparse; the adapted basis and the
+filtration profile eliminate dense rows in ``jets._absorb``.
 """
 
 from __future__ import annotations

@@ -139,25 +139,17 @@ class JetSystem:
     def _basis(self) -> dict[int, list[int]]:
         """Echelon rows of the sections scaled to integers (no rank changes),
         dense to deg + 1, primitive, keyed by lead in ascending order: the
-        vanishing orders of the span.  Dependent sections raise
-        ``DependentSections``."""
+        vanishing orders of the span, from ``_absorb`` in section order.
+        Dependent sections raise ``DependentSections``."""
         width = self.poly_degree + 1
-        rows = [_cleared(sec)[1] + [0] * (width - len(sec)) for sec in self.sections]
-        leads = [next((c for c, v in enumerate(row) if v), None) for row in rows]
-        if None in leads or len(set(leads)) < len(rows):
-            ech = _linalg.IncrementalRank()
-            for row in rows:
-                if ech.add({c: v for c, v in enumerate(row) if v}) is None:
-                    raise DependentSections("sections are linearly dependent")
-            leads = list(ech.pivots)
-            rows = [[pivot.get(c, 0) for c in range(width)] for pivot in ech.pivots.values()]
-        # Rows that lead at distinct columns are their own echelon, as the
-        # pivots are: each is its row divided by its content.
-        basis = {}
-        for lead, row in sorted(zip(leads, rows)):
-            g = gcd(*row)
-            basis[lead] = [x // g for x in row] if g > 1 else row
-        return basis
+        pivots: dict[int, list[int]] = {}
+        for sec in self.sections:
+            row = _cleared(sec)[1] + [0] * (width - len(sec))
+            lead = next((c for c, v in enumerate(row) if v), None)
+            # Every pivot is a dense list, so _absorb never reads k.
+            if lead is None or not _absorb(pivots, row[lead:], lead, 0, width):
+                raise DependentSections("sections are linearly dependent")
+        return {lead: [0] * lead + row for lead, row in sorted(pivots.items())}
 
     @cached_property
     def adapted_orders(self) -> VanishingSequence:

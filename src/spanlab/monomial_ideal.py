@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationTooLarge, LengthMismatch, PreconditionViolated, over_limit, written
 from .sequences import VanishingSequence
-from .span import _check_sumset, _sumset_masks
+from .span import _charge, _check_sumset, _sumset_masks
 
 Monomial = tuple[int, ...]
 Move = tuple[tuple[int, int], tuple[int, int]]
@@ -166,26 +166,21 @@ class EquivalenceReport:
     witness: Optional[tuple[Monomial, Monomial]] = None
 
 
-def _lift(level: list, below: Optional[dict[Monomial, int]] = None) -> Optional[dict[Monomial, int]]:
+def _lift(level: list, below: dict[Monomial, int]) -> dict[Monomial, int]:
     # The t-step components of one level of _levels at a degree m > t from
     # those of degree m-1, ``below``: the block of each monomial of a class
-    # with more than one, numbered by first member, or None when every class
-    # is one block.  An exchange of at most t < m pieces leaves some x_v in
-    # place, so the members of a class merge, as bitmasks, on the keys
-    # (v, block of xi/x_v).  Returns the blocks in the form of ``below``.
+    # with more than one, numbered by first member; {} when every class is
+    # one block, as at degree t, where every lift starts.  An exchange of at
+    # most t < m pieces leaves some x_v in place, so the members of a class
+    # merge, as bitmasks, on the keys (v, block of xi/x_v).
     nvars = len(level[0][0])
     blocks: dict[int, list[int]] = {}
     keys = []
     for xi, _, w in level:
         key = 0
-        if below is None:
-            for v, k in enumerate(xi):
-                if k:
-                    key |= 1 << v
-        else:
-            for v, k in enumerate(xi):
-                if k:
-                    key |= 1 << (v + nvars * below.get(xi[:v] + (k - 1,) + xi[v + 1:], 0))
+        for v, k in enumerate(xi):
+            if k:
+                key |= 1 << (v + nvars * below.get(xi[:v] + (k - 1,) + xi[v + 1:], 0))
         keys.append(key)
         rest = []
         for block in blocks.get(w, ()):
@@ -195,8 +190,6 @@ def _lift(level: list, below: Optional[dict[Monomial, int]] = None) -> Optional[
                 rest.append(block)
         rest.append(key)
         blocks[w] = rest
-    if all(len(merged) == 1 for merged in blocks.values()):
-        return None
     lifted = {}
     numbers: dict[int, dict[int, int]] = {}
     for (xi, _, w), key in zip(level, keys):
@@ -209,15 +202,15 @@ def _lift(level: list, below: Optional[dict[Monomial, int]] = None) -> Optional[
 def _components(seq: VanishingSequence, m: int, t: int) -> list[tuple[int, list[list[Monomial]]]]:
     # The t-step components of the degree-m monomials, m >= t: each weight
     # class in ascending weight with its components in order of first member,
-    # each in lexicographic order.  Every degree-t class is one component.
-    below = None
+    # each in lexicographic order.  Each degree-t class is one: the lifts start from {}.
+    below: dict[Monomial, int] = {}
     for d, level in enumerate(_levels(m, seq.entries)):
         if d > t:
             below = _lift(level, below)
     classes: dict[int, list[list[Monomial]]] = {}
     for xi, _, w in level:
         components = classes.setdefault(w, [])
-        b = below.get(xi, 0) if below else 0
+        b = below.get(xi, 0)
         if b == len(components):
             components.append([])
         components[b].append(xi)
@@ -255,8 +248,10 @@ class GenerationScan:
     lists those m in [3; m_cap].  ``quadric[m]`` tells whether the quadrics
     generate degree m, i.e. whether two-piece moves connect every degree-m
     weight class: the same sharing, lifted from the two-step components of
-    degree m-1.  It is True below the first generator degree; whether it
-    always equals "no generator degree in [3; m]" is unproven.
+    degree m-1.  It is True below the first generator degree and False at
+    each generator degree g, as S_{g-2} I_2 lies in S_1 I_{g-1}, which misses
+    that generator; whether it always equals "no generator degree in [3; m]"
+    is unproven.
     """
 
     m_cap: int
@@ -277,12 +272,14 @@ def _generator_degrees(seq: VanishingSequence, m_cap: int) -> tuple[int, ...]:
     # x_i, and bit w of v_{m-2} << (a_i + a_j) when one uses both x_i and x_j.
     # From the lowest variable used at each weight, the variables joined to
     # it through shared monomials are reached; degree m carries a generator
-    # when some used variable stays missing.  Each degree shifts about
-    # (n+1)^2 masks, so the work is checked before the first shift.
+    # when some used variable stays missing.  A sweep shifts about (n+1)^2
+    # masks; one per degree is checked up front, each further one as it runs.
     if m_cap < 2:
         raise ValueError(f"m_cap must be >= 2, got {m_cap}")
     entries = seq.entries
-    _check_sumset(seq, m_cap, len(entries) ** 2, f"the generator degrees to degree {written(m_cap)}")
+    what = f"the generator degrees to degree {written(m_cap)}"
+    work = _check_sumset(seq, m_cap, len(entries) ** 2, what)
+    sweep = len(entries) ** 2 * m_cap * entries[-1]
     degrees = []
     for m, (two_down, one_down) in enumerate(pairwise(_sumset_masks(seq, m_cap - 1)), 3):
         reached, missing, seen = [], [], 0
@@ -291,9 +288,11 @@ def _generator_degrees(seq: VanishingSequence, m_cap: int) -> tuple[int, ...]:
             reached.append(uses & ~seen)
             missing.append(uses & seen)
             seen |= uses
-        changed = True
+        changed = first = True
         while changed and any(missing):
-            changed = False
+            if not first:
+                work = _charge(work + sweep, what)
+            changed = first = False
             for i, a in enumerate(entries):
                 joined = reached[i]
                 for j, b in enumerate(entries):
@@ -319,19 +318,21 @@ def generation_scan(seq: VanishingSequence, m_cap: int) -> GenerationScan:
     every flag is True: with no generator in [3; m] the quadrics generate
     degree m.  So every degree-(g-1) weight class is one two-step component,
     and from g on the flags are lifted degree by degree from there, one
-    lift per level of one enumeration to m_cap.  They are lifted, not
-    derived, because whether quadric[m] always equals "no generator degree
-    in [3; m]" is unproven.
+    lift per level of one enumeration to m_cap, starting from {}.  The flag
+    is False at each generator degree d, as S_{d-2} I_2 lies in S_1 I_{d-1},
+    which misses the generator.  The flags are lifted, not derived, because
+    whether quadric[m] always equals "no generator degree in [3; m]" is
+    unproven.
     """
     generator_degrees = _generator_degrees(seq, m_cap)
     first = generator_degrees[0] if generator_degrees else m_cap + 1
     quadric = dict.fromkeys(range(3, first), True)
     if generator_degrees:
-        below = None  # the two-step blocks of degree m-1; None when every class is one
+        below: dict[Monomial, int] = {}  # the two-step blocks of degree m-1
         for m, level in enumerate(_levels(m_cap, seq.entries)):
             if m >= first:
                 below = _lift(level, below)
-                quadric[m] = below is None
+                quadric[m] = not below
     return GenerationScan(m_cap, generator_degrees, quadric)
 
 

@@ -55,14 +55,20 @@ class SpanClassification:
     step: Optional[int] = None
 
 
-def _check_sumset(seq: VanishingSequence, m: int, shifts: int, what: str) -> None:
-    # The limits on a scan of the sums of up to m entries that shifts
-    # ``shifts`` masks per degree; ``what`` names the scan in the work message.
+def _check_sumset(seq: VanishingSequence, m: int, shifts: int, what: str) -> int:
+    # Checks the limits on a scan of the sums of up to m entries that shifts
+    # ``shifts`` masks per degree and returns its work; ``what`` names the scan.
     top = m * seq.entries[-1]
     if top > MAX_SUMSET_BITS:
         raise SumsetTooLarge(over_limit(top, f"bits for the {written(m)}-fold sums", MAX_SUMSET_BITS))
-    if (work := shifts * m * top) > MAX_SUMSET_WORK:
+    return _charge(shifts * m * top, what)
+
+
+def _charge(work: int, what: str) -> int:
+    # The work of a scan so far, or ``SumsetTooLarge`` once it passes the limit.
+    if work > MAX_SUMSET_WORK:
         raise SumsetTooLarge(over_limit(work, f"bits of work for {what}", MAX_SUMSET_WORK))
+    return work
 
 
 def _sumset_masks(seq: VanishingSequence, m: int) -> Iterator[int]:

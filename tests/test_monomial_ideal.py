@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from math import comb
@@ -12,6 +13,7 @@ from spanlab import (
     LengthMismatch,
     NonEquivalent,
     PreconditionViolated,
+    SumsetTooLarge,
     ap_sequence,
     bigraded_dims,
     check_ideal_propagation,
@@ -36,6 +38,9 @@ from spanlab import monomial_ideal
 from spanlab.errors import over_limit
 from spanlab.monomial_ideal import (
     _component_ids, _components, _generator_degrees, _pair_targets, _weight_classes)
+
+# The module, not the function ``spanlab.span`` that the package exports.
+span_module = importlib.import_module("spanlab.span")
 
 
 class TestBasics:
@@ -179,6 +184,29 @@ class TestGenerationDegree:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             generation_degree(validate([0, 1, 3]), 1)
+
+    def test_reach_sweeps_are_charged(self, monkeypatch):
+        # (0, 1, 2, 4, 5) takes three reach sweeps at degree 3.  The check
+        # before the first shift charges 5^2 * 3 * (3 * 5) = 1125 bits of
+        # work, one sweep per degree, and each further sweep 5^2 * 3 * 5 = 375.
+        seq = validate([0, 1, 2, 4, 5])
+        monkeypatch.setattr(span_module, "MAX_SUMSET_WORK", 1125 + 2 * 375)
+        assert _generator_degrees(seq, 3) == (3,)
+        monkeypatch.setattr(span_module, "MAX_SUMSET_WORK", 1125 + 2 * 375 - 1)
+        with pytest.raises(SumsetTooLarge) as exc:
+            _generator_degrees(seq, 3)
+        assert str(exc.value) == over_limit(
+            1875, "bits of work for the generator degrees to degree 3", 1874)
+
+    def test_generator_degree_is_never_quadric(self):
+        # Proven half of the quadric rule: S_{g-2} I_2 lies in S_1 I_{g-1},
+        # which misses a generator of degree g, so quadric[g] is False.
+        # Below the first generator degree the quadrics generate.
+        for seq in normalized_sequences(1, 4, 10):
+            scan = generation_scan(seq, 8)
+            first = min(scan.generator_degrees, default=9)
+            assert not any(scan.quadric[g] for g in scan.generator_degrees), seq
+            assert all(scan.quadric[m] for m in range(3, first)), seq
 
 
 def _replay(xi, move):
