@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -200,13 +201,10 @@ def reparametrized_system(seq: VanishingSequence, tail: int = 2, seed: int = 0) 
         sections.append([Fraction(c, scale) for c in _read(packed ** a, k, 0, a * (len(u) - 1) + 1)])
     for j in range(len(sections)):
         for i in range(j + 1, len(sections)):
-            gamma = Fraction(rng.randint(-2, 2))
+            gamma = rng.randint(-2, 2)
             if gamma:
-                longer = max(len(sections[j]), len(sections[i]))
-                merged = sections[j] + [Fraction(0)] * (longer - len(sections[j]))
-                for k, c in enumerate(sections[i]):
-                    merged[k] += gamma * c
-                sections[j] = merged
+                sections[j] = [x + gamma * y
+                               for x, y in zip_longest(sections[j], sections[i], fillvalue=0)]
     return JetSystem(tuple(tuple(sec) for sec in sections))
 
 

@@ -113,23 +113,14 @@ class BigradedDims:
 
 def bigraded_dims(seq: VanishingSequence, m: int) -> BigradedDims:
     """Tally the weights of all degree-m monomials in n+1 variables."""
-    counts = {w: len(members) for w, members in _weight_classes(seq, m).items()}
+    counts = {w: len(members) for w, (members,) in _components(seq, m, m).items()}
     assert sum(counts.values()) == comb(m + seq.n, seq.n)
     return BigradedDims(m, counts)
 
 
-def _weight_classes(seq: VanishingSequence, m: int) -> dict[int, list[Monomial]]:
-    # Degree-m monomials grouped by weight, in lexicographic order inside
-    # each class.
-    classes: dict[int, list[Monomial]] = {}
-    for xi, w in zip(*_grow(m, seq.entries)):
-        classes.setdefault(w, []).append(xi)
-    return classes
-
-
 def weight_class(seq: VanishingSequence, m: int, w: int) -> list[Monomial]:
     """Degree-m monomials of weight w, in lexicographic order."""
-    return _weight_classes(seq, m).get(w, [])
+    return _components(seq, m, m).get(w, [[]])[0]
 
 
 def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
@@ -141,11 +132,11 @@ def t_neighbors(xi: Monomial, seq: VanishingSequence, t: int) -> list[Monomial]:
     """
     if t < 2:
         raise ValueError(f"neighbor order must be >= 2, got {t}")
-    w = weight(xi, seq)
+    w, m = weight(xi, seq), degree(xi)
     # At equal degrees the exchanged piece's degree is half the L1 distance,
     # so the piece has degree at most t exactly when that is at most 2t.
     reach = 2 * t
-    return [eta for eta in _weight_classes(seq, degree(xi)).get(w, ())
+    return [eta for eta in _components(seq, m, m).get(w, [[]])[0]
             if eta != xi and sum(map(abs, map(sub, xi, eta))) <= reach]
 
 
@@ -199,10 +190,12 @@ def _lift(level: list, below: dict[Monomial, int]) -> dict[Monomial, int]:
     return lifted
 
 
-def _components(seq: VanishingSequence, m: int, t: int) -> list[tuple[int, list[list[Monomial]]]]:
+def _components(seq: VanishingSequence, m: int, t: int) -> dict[int, list[list[Monomial]]]:
     # The t-step components of the degree-m monomials, m >= t: each weight
-    # class in ascending weight with its components in order of first member,
-    # each in lexicographic order.  Each degree-t class is one: the lifts start from {}.
+    # class by its weight, the classes and the components of each in order
+    # of first member, each component in lexicographic order.  Each degree-t
+    # class is one: the lifts start from {}, and at t = m none runs, so each
+    # weight class is then one component.
     below: dict[Monomial, int] = {}
     for d, level in enumerate(_levels(m, seq.entries)):
         if d > t:
@@ -214,14 +207,14 @@ def _components(seq: VanishingSequence, m: int, t: int) -> list[tuple[int, list[
         if b == len(components):
             components.append([])
         components[b].append(xi)
-    return sorted(classes.items())
+    return classes
 
 
 def equivalence_report(seq: VanishingSequence, m: int, t: int) -> EquivalenceReport:
     """Partition degree-m monomials into weight classes and t-step components."""
     if not (m >= t >= 2):
         raise ValueError(f"need m >= t >= 2, got m={m}, t={t}")
-    partition = _components(seq, m, t)
+    partition = sorted(_components(seq, m, t).items())
     n_classes = len(partition)
     n_components = sum(len(comps) for _, comps in partition)
     witness = next(((comps[0][0], comps[1][0]) for _, comps in partition if len(comps) > 1), None)
@@ -371,7 +364,7 @@ def _pair_targets(seq: VanishingSequence) -> list[list[list[tuple[int, int, Move
 def _component_ids(seq: VanishingSequence, m: int) -> dict[Monomial, int]:
     ids: dict[Monomial, int] = {}
     next_id = 0
-    for _, comps in _components(seq, m, 2):
+    for _, comps in sorted(_components(seq, m, 2).items()):
         for comp in comps:
             for xi in comp:
                 ids[xi] = next_id

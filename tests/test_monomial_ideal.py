@@ -37,7 +37,7 @@ from spanlab import (
 from spanlab import monomial_ideal
 from spanlab.errors import over_limit
 from spanlab.monomial_ideal import (
-    _component_ids, _components, _generator_degrees, _pair_targets, _weight_classes)
+    _component_ids, _components, _generator_degrees, _pair_targets)
 
 # The module, not the function ``spanlab.span`` that the package exports.
 span_module = importlib.import_module("spanlab.span")
@@ -296,7 +296,7 @@ class TestMoveTrace:
         for n, d in [(2, 1), (3, 1), (3, 2), (4, 1)]:
             seq = ap_sequence(n, d)
             for m in (3, 4):
-                for members in _weight_classes(seq, m).values():
+                for (members,) in _components(seq, m, m).values():
                     for xi, eta in itertools.combinations(members, 2):
                         assert not isinstance(move_trace(xi, eta, seq), NonEquivalent)
 
@@ -307,13 +307,13 @@ def _pieces(xi, eta):
 
 
 def pairwise_partition(seq, m, t):
-    """Oracle: union-find over every pair of each weight class."""
+    """Oracle: union-find over every pair of each weight class, the classes
+    in order of first member."""
     classes = {}
     for xi in monomials_of_degree(m, len(seq)):
         classes.setdefault(weight(xi, seq), []).append(xi)
-    partition = []
-    for w in sorted(classes):
-        members = classes[w]
+    partition = {}
+    for w, members in classes.items():
         parent = list(range(len(members)))
 
         def find(x):
@@ -329,12 +329,12 @@ def pairwise_partition(seq, m, t):
         groups = {}
         for i, xi in enumerate(members):
             groups.setdefault(find(i), []).append(xi)
-        partition.append((w, sorted(groups.values(), key=lambda g: g[0])))
+        partition[w] = sorted(groups.values(), key=lambda g: g[0])
     return partition
 
 
 def brute_generated(seq, m, t):
-    return all(len(comps) == 1 for _, comps in pairwise_partition(seq, m, t))
+    return all(len(comps) == 1 for comps in pairwise_partition(seq, m, t).values())
 
 
 def brute_generation_degree(seq, m_cap):
@@ -355,13 +355,13 @@ class TestPartitionOracle:
     @settings(max_examples=60, deadline=None)
     @given(small_sequences(), st.integers(1, 7), st.sampled_from([2, 3, 4]))
     def test_matches_pairwise_union_find(self, seq, m, t):
-        assert _components(seq, m, t) == pairwise_partition(seq, m, t)
+        assert list(_components(seq, m, t).items()) == list(pairwise_partition(seq, m, t).items())
 
     @settings(max_examples=40, deadline=None)
     @given(small_sequences(), st.integers(2, 6))
     def test_component_ids_number_the_pairwise_partition(self, seq, m):
         # Ids count up by ascending weight, then by first member.
-        components = [comp for _, comps in pairwise_partition(seq, m, 2) for comp in comps]
+        components = [comp for _, comps in sorted(pairwise_partition(seq, m, 2).items()) for comp in comps]
         assert _component_ids(seq, m) == {xi: i for i, comp in enumerate(components) for xi in comp}
 
     @settings(max_examples=60, deadline=None)
@@ -369,7 +369,7 @@ class TestPartitionOracle:
     def test_weight_table_matches_brute_force(self, seq, m, t):
         monos = list(monomials_of_degree(m, len(seq)))
         weights = [weight(xi, seq) for xi in monos]
-        table = _weight_classes(seq, m)
+        table = {w: members for w, (members,) in _components(seq, m, m).items()}
         assert list(table) == list(dict.fromkeys(weights))
         assert table == {w: [xi for xi, v in zip(monos, weights) if v == w] for w in table}
         counts = bigraded_dims(seq, m).weight_counts
@@ -380,6 +380,21 @@ class TestPartitionOracle:
             assert t_neighbors(xi, seq, t) == [
                 eta for eta in monos
                 if eta != xi and weight(eta, seq) == weight(xi, seq) and _pieces(xi, eta) <= t]
+
+    def test_class_listings_never_lift(self, monkeypatch):
+        # At t = m each weight class is one component, so the tallies and
+        # the class readers answer without a lift.
+        def refuse(level, below):
+            raise AssertionError("a weight class listing lifted its components")
+        monkeypatch.setattr(monomial_ideal, "_lift", refuse)
+        seq = validate([0, 1, 3])
+        assert list(bigraded_dims(seq, 4).weight_counts.items()) == [
+            (12, 1), (10, 1), (8, 1), (6, 2), (4, 2), (9, 1), (7, 1), (5, 1), (3, 2), (2, 1),
+            (1, 1), (0, 1)]
+        assert weight_class(seq, 4, 6) == [(0, 3, 1), (2, 0, 2)]
+        assert weight_class(seq, 4, 11) == []
+        assert t_neighbors((2, 0, 2), seq, 2) == []
+        assert t_neighbors((2, 0, 2), seq, 3) == [(0, 3, 1)]
 
     @pytest.mark.parametrize("entries", [(0, 1, 3), (0, 2, 3), (0, 1, 4), (0, 1, 2, 5),
                                          (0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 7)])
@@ -569,7 +584,7 @@ class TestMoveTraceOracle:
         # to degree 8: (0, 2, 3) is the mirror of (0, 1, 3).
         seq = validate(entries)
         pairs = [(comps[a][0], comps[b][0])
-                 for m in range(2, 9) for _, comps in _components(seq, m, 2)
+                 for m in range(2, 9) for comps in _components(seq, m, 2).values()
                  for a in range(len(comps)) for b in range(len(comps)) if a != b]
         assert len(pairs) == 132
         for xi, eta in pairs:
