@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -28,7 +28,7 @@ from .errors import (
     PropagationFailed,
     TooShort,
 )
-from .monomial_ideal import _check_enumeration, _generator_degrees, _grow
+from .monomial_ideal import _check_enumeration, _components, _generator_degrees, _grow
 from .sequences import VanishingSequence
 from .span import span
 
@@ -367,30 +367,43 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
     relation space must generate the degree-(t+1) one for t in [m; t_max);
     a violation raises ``PropagationFailed`` (and would falsify the theory,
     not just this library).
+
+    Each dimension is ``sym_power_dim``.  One-step generation at t is
+    certified on the weight-diagonal blocks of the shifted relations, by
+    the initial-form (flat degeneration) argument of Gröbner theory
+    (Sturmfels, Gröbner Bases and Convex Polytopes, AMS 1996; Eisenbud,
+    Commutative Algebra, GTM 150, §15.8).  Let the system be t-maximal and
+    L(xi) = prod lead_i^xi_i, the coefficient at which the product over xi
+    leads, at its weight w(xi):
+    1. Let f(w) be the first monomial of each degree-t weight class w.  Its
+       product row leads at w with the nonzero coefficient L(f), so these
+       rows are independent, and by t-maximality they span every row.
+    2. So each other monomial u has the relation rho_u = L(f) e_u - L(u) e_f
+       + (terms of higher weight), with f = f(w(u)); these relations are a
+       basis of the degree-t ones.
+    3. No relation is supported on first monomials alone.  So the shifted
+       relations x_v rho_u have the same rank after the columns of the
+       first monomials of degree t+1 are dropped.
+    4. Ordered by weight, that matrix is block upper-triangular.  Its
+       weight-W diagonal block holds only the two entries of step 2, the
+       rows L(f) e_{u x_v} - L(u) e_{f x_v} with w(u) + a_v = W.
+    5. The rank of a block-triangular matrix is at least the sum of the
+       ranks of its diagonal blocks, and the shifted relations, being
+       degree-(t+1) relations, have rank at most ``kernel_dims[t+1]``.  When
+       that sum reaches it, ``one_step_generates[t]`` is True, exactly and
+       over the integers.
+    Up to the torus scaling each block is the monomial model's, so the sum
+    falls short only when some degree-(t+1) class splits under shared
+    variables, which the hypotheses exclude.  The verdict is still computed
+    from the block ranks, never read off the hypotheses, and where the sum
+    falls short the two exact passes of ``_shifted_rank`` decide.
     """
     if not (t_max >= m >= 2):
         raise ValueError(f"need t_max >= m >= 2, got m={m}, t_max={t_max}")
     seq = system.adapted_orders
-    quotient_dims, relations = {}, {}
+    quotient_dims = {}
     for t in range(m, t_max + 1):
-        if t == t_max:
-            dim = sym_power_dim(system, t)
-        else:
-            # One pass per degree: row i is extended by the unit vector in
-            # column N + i, N = t * deg + 1 past where the products end, so
-            # the pivots leading below N give the rank and those leading at
-            # or past N are a basis of the relations, as combinations of the rows.
-            n_coeffs = t * system.poly_degree + 1
-            monomials, values, k = _product_rows(system, t)
-            ech = _linalg.IncrementalRank()
-            for i, (xi, value) in enumerate(zip(monomials, values)):
-                lead = sum(map(mul, seq.entries, xi))
-                row = {c: v for c, v in enumerate(_read(value, k, lead, n_coeffs), lead) if v}
-                row[n_coeffs + i] = 1
-                ech.add(row)
-            dim = sum(lead < n_coeffs for lead in ech.pivots)
-            relations[t] = monomials, [[(c - n_coeffs, v) for c, v in pivot.items()]
-                                       for lead, pivot in ech.pivots.items() if lead >= n_coeffs]
+        dim = sym_power_dim(system, t)
         if t == m:
             if dim != span(seq, m):
                 raise HypothesisFailed(f"system is not {m}-maximal")
@@ -403,28 +416,86 @@ def check_ideal_propagation(system: JetSystem, m: int, t_max: int) -> Propagatio
         quotient_dims[t] = dim
     kernel_dims = {t: comb(t + seq.n, seq.n) - dim for t, dim in quotient_dims.items()}
 
-    nvars = len(seq)
     one_step: dict[int, bool] = {}
-    for t, (monomials, kernel) in relations.items():
-        # lift[pos][var] is the column of monomials[pos] * x_var among the
-        # degree-(t+1) monomials, numbered in order of first appearance; for
-        # a fixed var it is injective, so shifting merges no entries.
-        columns: dict[tuple[int, ...], int] = {}
-        lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
-                 for var in range(nvars)] for xi in monomials]
-        shifted = _linalg.IncrementalRank()
-        for entries in kernel:
-            for var in range(nvars):
-                shifted.add({lift[pos][var]: c for pos, c in entries})
-        # The shifted relations always sit inside the degree-(t+1) kernel, so
-        # their rank is at most kernel_dims[t+1]; equality is what must hold.
-        ok = shifted.rank >= kernel_dims[t + 1]
+    # The weight classes of degrees t and t + 1; the rows at t_max, built
+    # above, met a larger budget than this listing of degrees up to t_max.
+    upper = _components(seq, m, m)
+    for t in range(m, t_max):
+        lower, upper = upper, _components(seq, t + 1, t + 1)
+        ok = (_block_rank_sum(system, lower, upper) >= kernel_dims[t + 1]
+              or _shifted_rank(system, t) >= kernel_dims[t + 1])
         one_step[t] = ok
         if not ok:
             raise PropagationFailed(
                 f"degree-{t} relations do not generate the degree-{t + 1} relations")
     return PropagationReport(m=m, t_max=t_max, quotient_dims=quotient_dims,
                              kernel_dims=kernel_dims, one_step_generates=one_step)
+
+
+def _block_rank_sum(system: JetSystem, lower: dict, upper: dict) -> int:
+    # The sum of the exact ranks of the weight-diagonal blocks of the shifted
+    # degree-t relations (steps 4 and 5 above), from the weight classes
+    # ``lower`` of degree t and ``upper`` of degree t + 1, as
+    # _components(seq, d, d) gives them.  The block of weight W has a column
+    # per member of the degree-(t+1) class W, and its rows go into _absorb
+    # dense and primitive.  The column of the first member stays: every row
+    # is orthogonal to the vector (L(mu))_mu, nonzero in every column, so
+    # that column changes no rank, and a block's rank is at most its width
+    # less one, where its rows stop.
+    leads = [row[a] for a, row in system._basis.items()]
+    entries = system.adapted_orders.entries
+    columns = {mu: i for (members,) in upper.values() for i, mu in enumerate(members)}
+    blocks: dict[int, dict[int, int | list[int]]] = {w: {} for w in upper}
+    for w, ((f, *others),) in lower.items():
+        lf = prod(map(pow, leads, f))
+        for u in others:
+            lu = prod(map(pow, leads, u))
+            g = gcd(lf, lu)
+            for v, a in enumerate(entries):
+                pivots, width = blocks[w + a], len(upper[w + a][0])
+                if len(pivots) == width - 1:
+                    continue
+                i = columns[u[:v] + (u[v] + 1,) + u[v + 1:]]
+                j = columns[f[:v] + (f[v] + 1,) + f[v + 1:]]
+                row = [0] * width
+                row[i], row[j] = lf // g, -lu // g
+                lead = min(i, j)
+                _absorb(pivots, row[lead:], lead, 0, width)
+    return sum(map(len, blocks.values()))
+
+
+def _shifted_rank(system: JetSystem, t: int) -> int:
+    # The exact rank of the x_v-shifted degree-t relations, by two passes:
+    # check_ideal_propagation's fallback where the block ranks fall short.
+    # The first pass extends product row i by the unit vector in column
+    # N + i, N = t * deg + 1 past where the products end, so the pivots
+    # leading at or past N are a basis of the relations, as combinations of
+    # the rows.
+    seq = system.adapted_orders
+    n_coeffs = t * system.poly_degree + 1
+    monomials, values, k = _product_rows(system, t)
+    ech = _linalg.IncrementalRank()
+    for i, (xi, value) in enumerate(zip(monomials, values)):
+        lead = sum(map(mul, seq.entries, xi))
+        row = {c: v for c, v in enumerate(_read(value, k, lead, n_coeffs), lead) if v}
+        row[n_coeffs + i] = 1
+        ech.add(row)
+    kernel = [[(c - n_coeffs, v) for c, v in pivot.items()]
+              for lead, pivot in ech.pivots.items() if lead >= n_coeffs]
+    # lift[pos][var] is the column of monomials[pos] * x_var among the
+    # degree-(t+1) monomials, numbered in order of first appearance; for
+    # a fixed var it is injective, so shifting merges no entries.
+    nvars = len(seq)
+    columns: dict[tuple[int, ...], int] = {}
+    lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
+             for var in range(nvars)] for xi in monomials]
+    shifted = _linalg.IncrementalRank()
+    for entries in kernel:
+        for var in range(nvars):
+            shifted.add({lift[pos][var]: c for pos, c in entries})
+    # The shifted relations always sit inside the degree-(t+1) kernel, so
+    # their rank is at most kernel_dims[t+1]; equality is what must hold.
+    return shifted.rank
 
 
 def degree_genus_estimate(system: JetSystem, m_lo: int, m_hi: int) -> tuple[int, int]:

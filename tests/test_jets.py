@@ -17,6 +17,7 @@ from spanlab import (
     HypothesisFailed,
     JetSystem,
     NotLinearOnRange,
+    SpanlabError,
     adapted_basis,
     ap_sequence,
     bigraded_dims,
@@ -716,6 +717,24 @@ class TestFiltration:
                 assert profile.dims.get(w, 0) == expected, (entries, w)
 
 
+def _propagation_outcome(system, m, t_max):
+    try:
+        return check_ideal_propagation(system, m, t_max)
+    except SpanlabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _propagation_inputs(draw):
+    # A system of a drawn kind on a drawn sequence, a degree range and a
+    # degree d in it.
+    seq = validate([0] + sorted(draw(st.sets(st.integers(1, 7), min_size=1, max_size=3))))
+    kind = draw(st.sampled_from([monomial_system, reparametrized_system, perturbed_system]))
+    system = kind(seq) if kind is monomial_system else kind(seq, tail=2, seed=draw(st.integers(0, 50)))
+    m, t_max = draw(st.sampled_from([(2, 3), (2, 4), (3, 4)]))
+    return system, m, t_max, draw(st.integers(m, t_max))
+
+
 class TestPropagation:
     def test_progression_model(self):
         report = check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5)
@@ -723,10 +742,45 @@ class TestPropagation:
         assert all(report.one_step_generates.values())
 
     def test_rows_built_once_per_degree(self, monkeypatch):
-        # One pass per degree gives both the rank and the relations.
+        # Each degree's rows are built once, for its rank; the one-step
+        # certificate builds none.
         calls = _count_product_rows(monkeypatch)
         check_ideal_propagation(monomial_system(ap_sequence(3, 1)), 2, 5)
         assert calls == [2, 3, 4, 5]
+
+    def test_answered_at_the_budget_of_the_top_rows(self, monkeypatch):
+        # The rows at t_max write 126 * (4 + 16) = 2520 entries.  At that
+        # limit the check answers; the certificate lists no degree past
+        # t_max and writes no row.  One entry less refuses the rows.
+        system = monomial_system(ap_sequence(3, 1))
+        answer = check_ideal_propagation(system, 2, 5)
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", 2520)
+        assert check_ideal_propagation(system, 2, 5) == answer
+        monkeypatch.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", 2519)
+        with pytest.raises(EnumerationTooLarge, match=(
+                "^2520 entries for the degree-5 monomials in 4 variables exceed the limit of 2519$")):
+            check_ideal_propagation(system, 2, 5)
+
+    @given(_propagation_inputs(), st.integers(-2, 2))
+    def test_only_the_product_rows_refuse(self, drawn, delta):
+        # With the limit near the rows of one degree, the check refuses with
+        # the message of the first degree whose rows exceed it, or gives the
+        # answer it gives with no limit: nothing else refuses.
+        system, m, t_max, d = drawn
+        nvars, deg = system.n + 1, system.poly_degree
+        entries = [comb(t + nvars, nvars) * (nvars + t * deg + 1) for t in range(t_max + 1)]
+        limit = entries[d] + delta
+        answer = _propagation_outcome(system, m, t_max)
+        first = next((t for t in range(m, t_max + 1) if entries[t] > limit), None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monomial_ideal, "MAX_ENUMERATED_ENTRIES", limit)
+            limited = _propagation_outcome(system, m, t_max)
+            if first is not None:
+                with pytest.raises(EnumerationTooLarge) as refusal:
+                    monomial_ideal._check_enumeration(first, nvars, first * deg + 1)
+        if limited != answer:
+            assert first is not None
+            assert limited == (EnumerationTooLarge, str(refusal.value))
 
     def test_jump_model(self):
         report = check_ideal_propagation(monomial_system(near_ap_high(3, 1)), 2, 5)

@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from spanlab.cli import _build_parser, _load_sections, main
 
 
 SMALL = SweepConfig(max_entry=5, random_trials=30)
+VERIFY_OUTPUT = Path(__file__).resolve().parent / "verify_output"
 
 # Per suite: config, cases checked, and under falsify_oracle the failure count
 # and first failure, recorded from the hand-counted suites before the shared
@@ -260,6 +262,18 @@ class TestCli:
         assert code == 0
         assert "pass" in out
         assert json.loads(out_path.read_text())["suite"] == "prop37"
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("falsify", [False, True])
+    def test_propagation_report_bytes_are_recorded(self, capsys, seed, falsify):
+        # The prop46_47 envelope, byte for byte with its "seconds" lines
+        # dropped, against the recording in verify_output/.
+        name = f"prop46_47_seed{seed}{'_falsified' if falsify else ''}.json"
+        argv = ["verify", "--suite", "prop46_47", "--json", "--seed", str(seed)]
+        code, out = run_cli(capsys, *argv, *(["--falsify-oracle"] if falsify else []))
+        assert code == (3 if falsify else 0)
+        kept = "".join(line for line in out.splitlines(keepends=True) if '"seconds":' not in line)
+        assert kept == (VERIFY_OUTPUT / name).read_text()
 
     @pytest.mark.parametrize("suite", ["prop41", "all"])
     def test_verify_out_writes_the_reports(self, capsys, tmp_path, suite):
