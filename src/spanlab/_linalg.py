@@ -7,11 +7,12 @@ rows cut below any column (the pivots leading below it) and, for rows
 extended by unit vectors, their left kernel (the pivots leading in the
 extension); floating point never touches a rank decision.
 
-It serves only the exact fallback of propagation, ``jets._shifted_rank``,
-whose two passes run where the block-rank certificate falls short; their
-rows reach out to unit columns and so stay sparse.  The adapted basis, the
-filtration profile and the certificate's blocks eliminate dense rows in
-``jets._absorb``.
+No library function calls it any more: propagation certifies one-step
+generation on the weight-diagonal blocks, and those blocks, the adapted
+basis and the filtration profile eliminate dense rows in ``jets._absorb``.
+The tests use it as the exact reference for the shifted relations, whose
+unit-extended rows stay sparse, and perfbench's tracer patches
+``IncrementalRank.add``.
 """
 
 from __future__ import annotations

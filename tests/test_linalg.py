@@ -6,26 +6,19 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from spanlab import (
-    HypothesisFailed,
     JetSystem,
-    PropagationFailed,
-    ap_sequence,
-    check_ideal_propagation,
     generation_degree,
     is_m_maximal,
     monomial_system,
     near_ap_high,
-    near_ap_low,
     perturbed_system,
     reparametrized_system,
     span,
     validate,
 )
-from spanlab import _linalg, jets
 from spanlab._linalg import IncrementalRank
-from spanlab.jets import _block_rank_sum, _product_rows, _read, _shifted_rank
+from spanlab.jets import _block_rank_sum, _product_rows, _read
 from spanlab.monomial_ideal import _components
-from spanlab.verify import _derived_seed
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9, rank_cap=None):
@@ -47,45 +40,46 @@ def rank(m):
     return ech.rank
 
 
-def fallback_relations(system, m, t_max):
-    # For each degree t in [m, t_max) that check_ideal_propagation reaches,
-    # the product rows made dense to N = t * deg + 1 columns, where they end,
-    # and the relations that its exact fallback, _shifted_rank, called here
-    # at t directly, reads: the pivots of the echelon that absorbed those
-    # rows, row i extended by the unit vector in column N + i, whose leading
-    # column is >= N, shifted down by N.  The check stops after degree m
-    # when a hypothesis fails, and after the first degree t where the
-    # system is not t-maximal.
-    echelons = []
+def reference_pass(system, t):
+    # The degree-t product rows, dense to N = t * deg + 1 columns, where they
+    # end; a basis of their relations, read from one pass that extends row i
+    # by the unit vector in column N + i, as the pivots leading at or past N
+    # shifted down by N; and the exact rank of those relations shifted by
+    # each x_v, which check_ideal_propagation's block certificate must not
+    # exceed.
+    n_coeffs = t * system.poly_degree + 1
+    monomials, values, k = _product_rows(system, t)
+    dense = [_read(value, k, 0, n_coeffs) for value in values]
+    ech = IncrementalRank()
+    for i, row in enumerate(dense):
+        ech.add({**{c: v for c, v in enumerate(row) if v}, n_coeffs + i: 1})
+    relations = [[pivot.get(n_coeffs + i, 0) for i in range(len(dense))]
+                 for lead, pivot in ech.pivots.items() if lead >= n_coeffs]
+    # lift[pos][var] is the column of monomials[pos] * x_var among the
+    # degree-(t+1) monomials, numbered in order of first appearance; for
+    # a fixed var it is injective, so shifting merges no entries.
+    nvars = system.n + 1
+    columns: dict[tuple[int, ...], int] = {}
+    lift = [[columns.setdefault(xi[:var] + (xi[var] + 1,) + xi[var + 1:], len(columns))
+             for var in range(nvars)] for xi in monomials]
+    shifted = IncrementalRank()
+    for coeffs in relations:
+        for var in range(nvars):
+            shifted.add({lift[pos][var]: c for pos, c in enumerate(coeffs) if c})
+    return dense, relations, shifted.rank
 
-    class Recording(IncrementalRank):
-        def __init__(self):
-            super().__init__()
-            self.rows = []
-            echelons.append(self)
 
-        def add(self, row):
-            self.rows.append(dict(row))
-            return super().add(row)
-
+def kernel_passes(system, m, t_max):
+    # The rows and relations of reference_pass at each degree t in
+    # [m, t_max) up to where check_ideal_propagation stops: after degree m
+    # when a hypothesis fails, and at the first degree t where the system
+    # is not t-maximal.
     seq = system.adapted_orders
     found = {}
     for t in range(m, t_max):
-        echelons.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_linalg, "IncrementalRank", Recording)
-            _shifted_rank(system, t)
-        n_coeffs = t * system.poly_degree + 1
-        _, values, k = _product_rows(system, t)
-        rows = [{c: v for c, v in enumerate(_read(value, k, 0, n_coeffs)) if v} for value in values]
-        extended = [{**row, n_coeffs + i: 1} for i, row in enumerate(rows)]
-        passes = [ech for ech in echelons if ech.rows == extended]
-        assert len(passes) == 1, t
-        dense = [[row.get(c, 0) for c in range(n_coeffs)] for row in rows]
-        relations = [[pivot.get(n_coeffs + i, 0) for i in range(len(rows))]
-                     for lead, pivot in passes[0].pivots.items() if lead >= n_coeffs]
+        dense, relations, _ = reference_pass(system, t)
         found[t] = dense, relations
-        if len(rows) - len(relations) != span(seq, t) or generation_degree(seq, t_max) > m:
+        if len(dense) - len(relations) != span(seq, t) or generation_degree(seq, t_max) > m:
             break
     return found
 
@@ -155,49 +149,26 @@ class TestRank:
         assert all(gcd(*pivot.values()) == 1 for pivot in ech.pivots.values())
 
 
-# Systems with the degrees of [2, 4) where check_ideal_propagation(system,
-# 2, 4) reaches its one-step check, or would run its fallback.
-KERNEL_SYSTEMS = [
-    (monomial_system(validate([0, 1, 2, 3])), {2, 3}),
-    # Not 2-maximal: the check stops at degree 2.
-    (perturbed_system(validate([0, 1, 3]), tail=2, seed=4), {2}),
-    (reparametrized_system(near_ap_high(3, 1), tail=1, seed=3), {2, 3}),
-    # Not 2-maximal either: t^30 parts x_0 x_2 from x_1^2.
-    (JetSystem(((1,), (0, 1), (0, 0, 1) + (0,) * 27 + (1,))), {2}),
-]
-
-
 class TestKernels:
-    # The relations that check_ideal_propagation's exact fallback shifts to
-    # the next degree come from its unit-extended pass, checked against sympy.
-    @pytest.mark.parametrize("system,degrees", KERNEL_SYSTEMS)
+    # The relations of the reference pass, checked against sympy.
+    @pytest.mark.parametrize("system,degrees", [
+        (monomial_system(validate([0, 1, 2, 3])), {2, 3}),
+        # Not 2-maximal: the check stops at degree 2.
+        (perturbed_system(validate([0, 1, 3]), tail=2, seed=4), {2}),
+        (reparametrized_system(near_ap_high(3, 1), tail=1, seed=3), {2, 3}),
+        # Not 2-maximal either: t^30 parts x_0 x_2 from x_1^2.
+        (JetSystem(((1,), (0, 1), (0, 0, 1) + (0,) * 27 + (1,))), {2}),
+    ])
     def test_relations_annihilate_product_rows(self, system, degrees):
-        found = fallback_relations(system, 2, 4)
+        found = kernel_passes(system, 2, 4)
         assert set(found) == degrees
         for dense, relations in found.values():
             check_relations(dense, relations)
 
     @given(_systems(), st.integers(2, 3))
     def test_relations_against_sympy(self, system, m):
-        for dense, relations in fallback_relations(system, m, m + 1).values():
+        for dense, relations in kernel_passes(system, m, m + 1).values():
             check_relations(dense, relations)
-
-
-def _outcome(system, m, t_max):
-    try:
-        return check_ideal_propagation(system, m, t_max)
-    except (HypothesisFailed, PropagationFailed) as exc:
-        return type(exc), str(exc)
-
-
-def _suite_systems(seed):
-    # The 18 systems of the prop46_47 suite, built as it builds them.
-    bases = []
-    for n in range(3, 6):
-        bases.extend([ap_sequence(n, 1), near_ap_high(n, 1), near_ap_low(n, 1)])
-    for idx, seq in enumerate(bases):
-        yield monomial_system(seq)
-        yield reparametrized_system(seq, tail=1, seed=_derived_seed(seed, seq, idx))
 
 
 @st.composite
@@ -220,32 +191,15 @@ def _maximal_systems(draw):
 
 class TestCertificate:
     # check_ideal_propagation certifies one-step generation by the ranks of
-    # the weight-diagonal blocks of the shifted relations; _shifted_rank,
-    # the exact rank of all of them, is its fallback.
+    # the weight-diagonal blocks of the shifted relations, a lower bound on
+    # the exact rank of all of them.
     @given(_maximal_systems())
     def test_block_ranks_never_exceed_the_shifted_rank(self, drawn):
         kind, system, t = drawn
         seq = system.adapted_orders
-        blocks = _block_rank_sum(system, _components(seq, t, t), _components(seq, t + 1, t + 1))
-        shifted = _shifted_rank(system, t)
+        blocks = _block_rank_sum(seq.entries, _components(seq, t, t), _components(seq, t + 1, t + 1))
+        _, _, shifted = reference_pass(system, t)
         assert blocks <= shifted
         if kind == "monomial":
             # The model's shifted relations are its blocks' rows.
             assert blocks == shifted
-
-    @pytest.mark.parametrize("system,t_max", [
-        *[(system, 4) for system, _ in KERNEL_SYSTEMS],
-        *[(system, 5) for system in _suite_systems(0)],
-    ])
-    def test_forced_fallback_gives_the_same_outcome(self, monkeypatch, system, t_max):
-        certified = _outcome(system, 2, t_max)
-        ran = []
-
-        def exact(system, t):
-            ran.append(t)
-            return _shifted_rank(system, t)
-        monkeypatch.setattr(jets, "_block_rank_sum", lambda system, lower, upper: -1)
-        monkeypatch.setattr(jets, "_shifted_rank", exact)
-        assert _outcome(system, 2, t_max) == certified
-        if isinstance(certified, jets.PropagationReport):
-            assert ran == list(range(2, t_max))
